@@ -32,11 +32,14 @@ class LeftmostHybrid(HybridVend):
 
     name = "hybrid-leftmost"
 
-    def _select_block(self, neighbors):
-        size = min(self.k_star, len(neighbors) - 1)
-        while size > 0 and self._slot_bits(size) < 1:
-            size -= 1
-        return BlockChoice(BLOCK_LEFT, 0, size, 0)
+    def _select_blocks(self, lists, max_size):
+        choices = []
+        for neighbors in lists:
+            size = min(max_size, len(neighbors) - 1)
+            while size > 0 and self._slot_bits(size) < 1:
+                size -= 1
+            choices.append(BlockChoice(BLOCK_LEFT, 0, size, 0))
+        return choices
 
 
 def build_variant(graph, id_bits, budget):

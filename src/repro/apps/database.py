@@ -137,9 +137,12 @@ class VendGraphDB:
         """
         receipt = ReadReceipt()
         neighbors = self.store.get_neighbors(v, receipt=receipt)
+        self._book_maintenance(receipt)
+        return neighbors
+
+    def _book_maintenance(self, receipt: ReadReceipt) -> None:
         self.db_stats.inc("maintenance_reads", receipt.served)
         self.db_stats.inc("maintenance_disk_reads", receipt.disk_reads)
-        return neighbors
 
     # -- loading -----------------------------------------------------------------
 
@@ -150,14 +153,22 @@ class VendGraphDB:
         self._built = True
 
     def rebuild_index(self) -> None:
-        """Re-encode every vertex from the *stored* adjacency lists."""
-        graph = Graph()
-        for v in self.store.vertices():
-            graph.add_vertex(v)
-        for v in list(self.store.vertices()):
-            for u in self._fetch_for_maintenance(v):
-                if u < v:
-                    graph.add_edge(u, v)
+        """Re-encode every vertex from the *stored* adjacency lists.
+
+        One multi-get pass per shard reads every list (one maintenance
+        read per vertex).  The encoded graph is the union of both
+        half-edge lists, so an edge whose other half never reached
+        storage (a crash between the two half writes) is still encoded
+        and can never be refuted.
+        """
+        vertices = list(self.store.vertices())
+        receipt = ReadReceipt()
+        adjacency = self.store.get_neighbors_many(vertices, receipt=receipt)
+        self._book_maintenance(receipt)
+        graph = Graph.from_adjacency(
+            ((v, neighbors.tolist()) for v, neighbors in adjacency.items()),
+            vertices=vertices)
+        del adjacency  # the fetched blobs are not needed while encoding
         self.vend.build(graph)
         self.db_stats.inc("index_rebuilds")
         self._built = True
@@ -288,7 +299,7 @@ class VendGraphDB:
 
     @property
     def index_rebuilds(self) -> int:
-        """Full index rebuilds performed (ID capacity growth)."""
+        """Full index rebuilds performed (reopen or ID capacity growth)."""
         return self.db_stats.index_rebuilds
 
     @property

@@ -18,7 +18,7 @@ from .base import (
     register_solution,
 )
 from .bitvector import BitVector
-from .blocks import BlockChoice, select_block
+from .blocks import BlockChoice, select_block, select_blocks
 from .hash_based import BitHashVend, HashVend
 from .hybplus import HybPlusVend
 from .hybrid import HybridVend, IdCapacityError, MaintenanceStats
@@ -42,6 +42,7 @@ __all__ = [
     "BitVector",
     "BlockChoice",
     "select_block",
+    "select_blocks",
     "PartialVend",
     "DirectedVend",
     "ColumnarIndex",

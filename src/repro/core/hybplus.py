@@ -25,8 +25,8 @@ from __future__ import annotations
 from .. import simd
 from .base import register_solution
 from .bitvector import BitVector
-from .blocks import BLOCK_LEFT, BLOCK_MIDDLE, BLOCK_RIGHT, count_hash_misses, select_block
-from .hybrid import HybridVend
+from .blocks import BLOCK_LEFT, BLOCK_MIDDLE, BLOCK_RIGHT, count_hash_misses
+from .hybrid import HybridVend, hash_slot
 from .sstree import SSTree
 
 import numpy as np
@@ -81,24 +81,27 @@ class HybPlusVend(HybridVend):
 
     # ---------------------------------------------------------------- encoding
 
-    def _encode_core(self, neighbors: list[int],
-                     exact: bool = True) -> BitVector:
-        """Select a block, then lay it out as a compressed SS-tree."""
-        if not neighbors:
-            raise ValueError("core encoding needs at least one neighbor")
-        neighbors = sorted(neighbors)
-        max_size = self.k_star
-        while True:
-            choice = select_block(
-                neighbors, self._max_id, self._estimated_slot_bits,
-                max_size=max_size, budget=self.selection_budget,
-            )
+    def _selection_slot_bits(self, block_size: int) -> int:
+        """Selection scores with the optimistic estimate; the encoder
+        checks the true fit afterwards."""
+        return self._estimated_slot_bits(block_size)
+
+    def _encode_cores(self, lists: list[list[int]],
+                      exact: bool = True) -> list[BitVector]:
+        """Select every block in one call, then lay each out as a
+        compressed SS-tree."""
+        codes = []
+        for neighbors, choice in zip(lists,
+                                     self._select_blocks(lists, self.k_star)):
             code = self._try_encode(neighbors, choice, exact)
-            if code is not None:
-                return code
-            # The compressed block did not leave a hash bit: shrink and
-            # retry (size 0 always fits, so this terminates).
-            max_size = choice.size - 1
+            while code is None:
+                # The compressed block did not leave a hash bit: shrink
+                # this vertex's cap and retry (size 0 always fits, so
+                # this terminates).
+                choice = self._select_blocks([neighbors], choice.size - 1)[0]
+                code = self._try_encode(neighbors, choice, exact)
+            codes.append(code)
+        return codes
 
     def _try_encode(self, neighbors: list[int], choice,
                     exact: bool = True) -> BitVector | None:
@@ -138,10 +141,7 @@ class HybPlusVend(HybridVend):
         for byte in bytes(controls) + bytes(data):
             code.write_field(offset, 8, byte)
             offset += 8
-        member_set = set(members)
-        for vid in neighbors:
-            if vid not in member_set:
-                code.set_bit(slot_offset + (vid % m), 1)
+        code.write_field(slot_offset, m, hash_slot(neighbors, members, m))
         return code
 
     # ----------------------------------------------------------------- NE-test

@@ -50,10 +50,20 @@ from .blocks import (
     BLOCK_MIDDLE,
     BLOCK_RIGHT,
     count_hash_misses,
-    select_block,
+    select_blocks,
 )
 
 __all__ = ["HybridVend", "IdCapacityError", "MaintenanceStats"]
+
+
+def hash_slot(neighbors: list[int], members: list[int], m: int) -> int:
+    """The ``m``-bit hash slot over the neighbors outside the block:
+    bit ``v' mod m`` is set for each."""
+    member_set = set(members)
+    slot = 0
+    for residue in {vid % m for vid in neighbors if vid not in member_set}:
+        slot |= 1 << residue
+    return slot
 
 
 class IdCapacityError(RuntimeError):
@@ -152,8 +162,9 @@ class HybridVend(VendSolution):
         result = peel(graph, self.k_star + 1)
         for v, neighbors in result.residual_neighbors.items():
             self._codes[v] = self._encode_decodable(neighbors)
-        for v in result.core_vertices:
-            self._codes[v] = self._encode_core(result.core_adjacency[v])
+        core = list(result.core_vertices)
+        codes = self._encode_cores([result.core_adjacency[v] for v in core])
+        self._codes.update(zip(core, codes))
 
     # -- encoders ---------------------------------------------------------------
 
@@ -182,16 +193,27 @@ class HybridVend(VendSolution):
         """
         if not neighbors:
             raise ValueError("core encoding needs at least one neighbor")
-        neighbors = sorted(neighbors)
-        choice = self._select_block(neighbors)
-        return self._materialize_core(neighbors, choice, exact)
+        return self._encode_cores([sorted(neighbors)], exact)[0]
 
-    def _select_block(self, neighbors: list[int]):
-        """Block selection hook (the ablation overrides this)."""
-        return select_block(
-            neighbors, self._max_id, self._slot_bits,
-            max_size=self.k_star, budget=self.selection_budget,
+    def _encode_cores(self, lists: list[list[int]],
+                      exact: bool = True) -> list[BitVector]:
+        """Core codes of sorted neighbor lists, every block selected in
+        one batched call."""
+        choices = self._select_blocks(lists, self.k_star)
+        return [self._materialize_core(neighbors, choice, exact)
+                for neighbors, choice in zip(lists, choices)]
+
+    def _select_blocks(self, lists: list[list[int]], max_size: int):
+        """Block selection hook for build and maintenance alike (the
+        ablation overrides this)."""
+        return select_blocks(
+            lists, self._max_id, self._selection_slot_bits,
+            max_size=max_size, budget=self.selection_budget,
         )
+
+    def _selection_slot_bits(self, block_size: int) -> int:
+        """Slot size block selection scores a block size with."""
+        return self._slot_bits(block_size)
 
     def _materialize_core(self, neighbors: list[int], choice,
                           exact: bool) -> BitVector:
@@ -207,10 +229,7 @@ class HybridVend(VendSolution):
             code.write_field(offset, self.id_bits, vid)
             offset += self.id_bits
         m = self._slot_bits(choice.size)
-        member_set = set(members)
-        for vid in neighbors:
-            if vid not in member_set:
-                code.set_bit(offset + (vid % m), 1)
+        code.write_field(offset, m, hash_slot(neighbors, members, m))
         return code
 
     def _build_code(self, ids: list[int], complete: bool) -> BitVector:

@@ -38,6 +38,39 @@ class Graph:
             for u, v in edges:
                 self.add_edge(u, v)
 
+    @classmethod
+    def from_adjacency(cls, adjacency: Iterable[tuple[int, Iterable[int]]],
+                       vertices: Iterable[int] = ()) -> "Graph":
+        """Bulk constructor from ``(vertex, neighbors)`` pairs.
+
+        ``vertices`` are added first, in order, so an isolated vertex
+        needs no pair.  An edge listed by either endpoint is an edge
+        (the lists need not be symmetric), and a neighbor that is not a
+        vertex yet becomes one.  Self loops are rejected.
+        """
+        graph = cls()
+        adj = graph._adj
+        for v in vertices:
+            graph.add_vertex(v)
+        # The sets share one int object per vertex ID (those of
+        # ``vertices`` where given) instead of one per listed neighbor.
+        intern = {v: v for v in adj}.setdefault
+        for v, neighbors in adjacency:
+            graph.add_vertex(v)
+            adj[intern(v, v)] = {intern(u, u) for u in neighbors}
+        for v, neighbors in list(adj.items()):
+            if v in neighbors:
+                raise ValueError(f"self loops are not allowed (vertex {v})")
+            for u in neighbors:
+                peer = adj.get(u)
+                if peer is None:
+                    graph.add_vertex(u)
+                    adj[u] = {v}
+                elif v not in peer:
+                    peer.add(v)
+        graph._num_edges = sum(map(len, adj.values())) // 2
+        return graph
+
     # -- basic accessors -------------------------------------------------
 
     @property

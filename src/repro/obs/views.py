@@ -165,9 +165,10 @@ class StorageStats(StatsView):
                  "compressed_puts", "blob_bytes_raw", "blob_bytes_stored")
     _GAUGES = ("compression_ratio",)
     _HELP = {
-        "disk_reads": "Physical record reads that reached the log file",
+        "disk_reads": "Record reads the block cache did not absorb: log "
+                      "file reads plus hot-cache serves, booked alike",
         "disk_writes": "Records appended to the log file",
-        "bytes_read": "Payload bytes read from the log file",
+        "bytes_read": "Payload bytes of the reads counted in disk_reads",
         "bytes_written": "Record bytes appended to the log file",
         "cache_hits": "Reads absorbed by the block cache",
         "cache_misses": "Reads the block cache could not serve",
@@ -318,5 +319,6 @@ class DatabaseStats(StatsView):
                              "maintenance (cache- or disk-served)",
         "maintenance_disk_reads": "Maintenance fetches that paid a "
                                   "physical read",
-        "index_rebuilds": "Full index rebuilds (ID capacity growth)",
+        "index_rebuilds": "Full index rebuilds (every rebuild_index: "
+                          "reopen or ID capacity growth)",
     }

@@ -116,3 +116,37 @@ class TestStats:
         with VendGraphDB(tmp_path / "ctx.log", k=2) as database:
             database.load_graph(graph)
             assert database.num_vertices == 50
+
+
+class TestRebuildFromHalfEdges:
+    """A crash between the two half writes of an edge leaves one half.
+
+    The rebuilt index must encode the union of both adjacency lists, or
+    the NDF refutes an edge that storage still holds.
+    """
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_half_in_smaller_endpoint_survives_rebuild(self, tmp_path,
+                                                       shards):
+        graph = powerlaw_graph(400, avg_degree=8, seed=165)
+        database = VendGraphDB(tmp_path / "half.log", k=4, shards=shards)
+        database.load_graph(graph)
+        store = database.store
+        segment_of = getattr(store, "segment_of", lambda v: store)
+        rng = random.Random(166)
+        vertices = sorted(graph.vertices())
+        halves = set()
+        while len(halves) < 300:
+            u, v = sorted(rng.sample(vertices, 2))
+            if not graph.has_edge(u, v):
+                halves.add((u, v))
+        for u, v in sorted(halves):
+            assert segment_of(u).insert_half_edge(u, v)
+        database.rebuild_index()
+        us = [u for u, _ in sorted(halves)]
+        vs = [v for _, v in sorted(halves)]
+        assert all(v in database.neighbors(u) for u, v in halves)
+        assert not any(database.vend.is_nonedge(u, v) for u, v in halves)
+        assert all(database.has_edge(u, v) for u, v in halves)
+        assert database.has_edge_batch(us, vs).all()
+        database.close()
