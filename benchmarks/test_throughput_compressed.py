@@ -1,4 +1,4 @@
-"""Compressed / mmap / process-parallel storage tier vs the PR 5 path.
+"""Compressed / mmap storage tier vs the PR 5 path.
 
 The ISSUE 6 acceptance bars on the seeded 100k-probe workload (same
 graph, solution and one-probe-per-vertex pairing as the PR 5 sharded
@@ -15,17 +15,10 @@ benchmark, so the reports chain):
   gather/scatter record assembly — so the comparison isolates exactly
   the read-tier work this PR adds and is hardware-independent.  The
   ops/sec recorded in BENCH_PR5.json came from different hardware and
-  is reported for reference, never asserted against;
-- the process executor is compared head-to-head against the thread
-  executor on a CPU-bound workload (fully page-cached, NDF-heavy:
-  random probes where the filter kills most storage reads, leaving
-  the GIL-bound VEND code checks as the work).  The process-beats-
-  thread assertion only arms when the host has more than one core —
-  on a single core the spawn pool adds pure IPC overhead and the
-  honest numbers say so (``cpu_count`` is recorded in the report).
+  is reported for reference, never asserted against.
 
-Emits storage-variant, sharded and executor sweeps (throughput,
-p50/p99 batch latency, on-disk bytes, compression ratio) to
+Emits storage-variant and sharded sweeps (throughput, p50/p99 batch
+latency, on-disk bytes, compression ratio) to
 ``benchmarks/results/throughput_compressed.json`` and, via the
 ``bench_report`` fixture, to ``BENCH_PR6.json`` at the repo root.
 """
@@ -145,7 +138,7 @@ def _install_pr5_read_path(store):
     return store
 
 
-def test_compressed_mmap_process_throughput(tmp_path, bench_report):
+def test_compressed_mmap_throughput(tmp_path, bench_report):
     graph = powerlaw_graph(N_VERTICES, avg_degree=AVG_DEGREE, seed=1)
     solution = make_solution(METHOD, K, graph)
     us, vs = _one_probe_per_vertex(graph)
@@ -224,46 +217,6 @@ def test_compressed_mmap_process_throughput(tmp_path, bench_report):
         })
         store.close()
 
-    # Executor sweep: thread vs process on the CPU-bound regime — the
-    # NDF filters most random probes, so per-batch time is dominated
-    # by VEND code checks, not storage reads.  Left endpoints are
-    # drawn from stored vertices (probing an unknown vertex raises in
-    # both modes).
-    rng = np.random.default_rng(7)
-    verts = np.sort(np.fromiter(graph.vertices(), dtype=np.int64))
-    ndf_us = rng.choice(verts, num_pairs)
-    ndf_vs = rng.integers(0, N_VERTICES, num_pairs)
-    store = ShardedGraphStore(tmp_path / "exec.db", num_shards=SHARDS,
-                              cache_bytes=0, compress=True, use_mmap=True)
-    store.bulk_load(graph)
-    executors = []
-    ndf_want = None
-    for executor in ("thread", "process"):
-        with ParallelEdgeQueryEngine(store, nonedge_filter=solution,
-                                     workers=WORKERS,
-                                     executor=executor) as engine:
-            got = engine.has_edge_batch(ndf_us, ndf_vs)
-            if ndf_want is None:
-                ndf_want = got
-            assert (got == ndf_want).all()
-            timing = _timed_rounds(
-                lambda: engine.has_edge_batch(ndf_us, ndf_vs))
-        executors.append({
-            "executor": executor, "shards": SHARDS, "workers": WORKERS,
-            "compress": True, "mmap": True, "workload": "ndf-heavy",
-            "ops_per_sec": round(num_pairs / timing["best_seconds"]),
-            **timing,
-        })
-    store.close()
-
-    cpu_count = os.cpu_count() or 1
-    by_executor = {row["executor"]: row for row in executors}
-    if cpu_count > 1:
-        assert (by_executor["process"]["ops_per_sec"]
-                > by_executor["thread"]["ops_per_sec"]), (
-            "process executor did not beat thread executor on "
-            f"{cpu_count} cores")
-
     best = max((*variants, *sharded_rows), key=lambda r: r["ops_per_sec"])
     speedup = best["ops_per_sec"] / pr5_config["ops_per_sec"]
     payload = {
@@ -272,12 +225,11 @@ def test_compressed_mmap_process_throughput(tmp_path, bench_report):
                               f"avg_degree={AVG_DEGREE}, seed=1)",
                      "solution": f"{METHOD}(k={K})",
                      "store": "disk, cache_bytes=0",
-                     "cpu_count": cpu_count},
+                     "cpu_count": os.cpu_count() or 1},
         "pr5_baseline": pr5_config,
         "pr5_recorded_ops_per_sec": _pr5_recorded_ops(),
         "storage_variants": variants,
         "sharded_sweep": sharded_rows,
-        "executor_sweep": executors,
         "best_config": best,
         "headline_speedup_vs_pr5": round(speedup, 2),
     }

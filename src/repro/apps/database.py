@@ -46,9 +46,8 @@ class VendGraphDB:
     hot_cache_bytes:
         Decoded-blob hot-cache budget (total, split per shard like
         ``cache_bytes``).  Stats-transparent — verdicts and counters
-        are bitwise identical hot-on/off — and compatible with every
-        executor (process workers build their own reader-side caches).
-        Requires a disk-backed path; ignored for in-memory stores.
+        are bitwise identical hot-on/off.  Requires a disk-backed
+        path; ignored for in-memory stores.
     shards, workers:
         ``shards > 1`` switches storage to a hash-partitioned
         :class:`~repro.storage.ShardedGraphStore` and the query path to
@@ -61,17 +60,14 @@ class VendGraphDB:
         stores adjacency blobs as StreamVByte v3 records, ``use_mmap``
         serves the packed read tier from an mmap of the log.
     executor:
-        ``"thread"`` (default) or ``"process"`` — how the parallel
-        engine fans out batch work.  ``"process"`` requires a
-        disk-backed path, ``cache_bytes=0``, and forces the sharded
-        store/parallel engine even at ``shards=1`` (the process
-        pipeline needs a router).
+        Only ``"thread"`` is accepted: the parallel engine fans batch
+        work out to a thread pool.  The keyword is kept for callers
+        that still pass it.
     replicas:
         Replica copies per shard (forces the sharded store even at
         ``shards=1``).  Writes reach every copy synchronously; reads
         fail over when a copy's backing store degrades, and
-        :meth:`reset_degraded` repairs and reinstates.  Incompatible
-        with ``executor="process"`` — failover is coordinator state.
+        :meth:`reset_degraded` repairs and reinstates.
 
     ::
 
@@ -93,14 +89,11 @@ class VendGraphDB:
             raise ValueError("shards must be >= 1")
         if replicas < 0:
             raise ValueError("replicas must be >= 0")
-        if executor == "process" and path is None:
-            raise ValueError("executor='process' requires a disk-backed "
-                             "path (workers mmap the segment logs)")
-        if executor == "process" and replicas:
-            raise ValueError("executor='process' does not support "
-                             "replicas: failover is coordinator state")
+        if executor != "thread":
+            raise ValueError(
+                f"executor must be 'thread', got {executor!r}")
         self.vend: _HybridBase = _METHODS[method](k=k, id_bits=id_bits)
-        if shards > 1 or replicas > 0 or executor == "process":
+        if shards > 1 or replicas > 0:
             self.store = ShardedGraphStore(path, num_shards=shards,
                                            cache_bytes=cache_bytes,
                                            compress=compress,
@@ -108,8 +101,7 @@ class VendGraphDB:
                                            replicas=replicas,
                                            hot_cache_bytes=hot_cache_bytes)
             self._engine = ParallelEdgeQueryEngine(self.store, self.vend,
-                                                   workers=workers,
-                                                   executor=executor)
+                                                   workers=workers)
         else:
             self.store = GraphStore(path, cache_bytes=cache_bytes,
                                     compress=compress, use_mmap=use_mmap,
@@ -252,18 +244,12 @@ class VendGraphDB:
         untouched — the router decides placement, never encoding.
 
         Requires sharded storage (``shards>1``, ``replicas>0``, or an
-        explicit reshard target from such a config) and the thread
-        executor — process workers hold mmaps of the old generation's
-        segment files.
+        explicit reshard target from such a config).
         """
         begin = getattr(self.store, "begin_reshard", None)
         if begin is None:
             raise ValueError("reshard() requires sharded storage "
                              "(construct with shards>1 or replicas>0)")
-        if getattr(self._engine, "executor", "thread") == "process":
-            raise ValueError("online reshard is not supported with "
-                             "executor='process': workers mmap the old "
-                             "generation's segment files")
         begin(num_shards, path=path)
         while self.store.migrate_step(batch):
             pass

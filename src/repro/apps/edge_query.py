@@ -25,10 +25,9 @@ diff-the-shared-globals pattern misattributed both).
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
@@ -38,8 +37,6 @@ from ..core.batch import shard_slices, warm_batch_snapshot
 from ..devtools.witness import wrap_lock
 from ..obs import QueryStats, ReadReceipt, default_tracer
 from ..storage import GraphStore, ShardedGraphStore
-from ..storage.kvstore import DiskKVStore
-from ..storage.shm import SharedObject, attach_shard_reader, attach_shared
 
 __all__ = ["QueryStats", "EdgeQueryEngine", "ParallelEdgeQueryEngine"]
 
@@ -162,37 +159,6 @@ class EdgeQueryEngine:
         return self.stats
 
 
-def _process_query_slice(shard, us, vs, filter_meta, shard_meta):
-    """One process-pool task: NDF + mmap membership probe for one shard.
-
-    Runs in a worker process.  The NDF solution and the shard's packed
-    read state arrive as shared-memory metas (see
-    :mod:`repro.storage.shm`); both attachments are cached per worker
-    and survive across tasks until the coordinator publishes a new
-    generation.  The worker computes with zero shared mutable state —
-    verdicts and logical read accounting travel back for the
-    coordinator to book, exactly like the thread path's receipts.
-    """
-    filt = attach_shared(filter_meta) if filter_meta is not None else None
-    reader = attach_shard_reader(shard_meta)
-    with default_tracer().span("query_shard", shard=str(shard)):
-        n = len(us)
-        answers = np.zeros(n, dtype=bool)
-        if filt is not None:
-            certain = nonedge_batch_mask(filt, us, vs)
-            survivors = ~certain
-        else:
-            survivors = np.ones(n, dtype=bool)
-        executed = int(survivors.sum())
-        n_records = n_bytes = 0
-        if executed:
-            unique_us, group = np.unique(us[survivors], return_inverse=True)
-            verdicts, n_records, n_bytes = reader.probe(
-                unique_us, group, vs[survivors])
-            answers[survivors] = verdicts
-        return answers, n - executed, executed, n_records, n_bytes
-
-
 class ParallelEdgeQueryEngine(EdgeQueryEngine):
     """Shard-parallel batch execution over a :class:`ShardedGraphStore`.
 
@@ -226,49 +192,19 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
     task receipts as the aggregate, so the per-shard
     ``cache_served + disk_served`` totals sum to the engine totals by
     construction.
-
-    ``executor="process"`` swaps the thread pool for a spawn-context
-    ``ProcessPoolExecutor``: NDF filtering and the membership sweep are
-    pure-Python-free numpy loops, but on batches dominated by filter
-    evaluation the GIL still serializes thread workers — processes
-    escape it.  The NDF solution and each shard's packed read state are
-    published once through :mod:`repro.storage.shm` (protocol-5 pickles
-    whose buffers live in one shared-memory block per object); workers
-    attach read-only and serve probes off their own mmap of the shard
-    log.  Republication is triggered by filter snapshot identity and by
-    each segment's ``mutation_count``, and all stats booking stays on
-    the coordinator, so per-shard sums and aggregate totals remain
-    bitwise identical to thread mode.  Requires plain disk-backed,
-    uncached segments (enforced at construction).
     """
 
     def __init__(self, store: ShardedGraphStore,
                  nonedge_filter: NonedgeFilter | None = None,
-                 workers: int | None = None,
-                 executor: str = "thread"):
+                 workers: int | None = None):
         super().__init__(store, nonedge_filter)
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}")
         self.workers = workers or store.num_shards
-        self.executor = executor
-        if executor == "process":
-            self._validate_process_segments(store)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-            # role -> live SharedObject; role -> generation token.
-            self._published: dict[str, SharedObject] = {}
-            self._published_gen: dict[str, object] = {}
-            self._filter_gen = 0
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix=f"{self.stats.scope}-shard",
-            )
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.workers,
+            thread_name_prefix=f"{self.stats.scope}-shard",
+        )
         self._book_lock = wrap_lock(threading.Lock(),
                                     "ParallelEdgeQueryEngine._book_lock")
         self._store_generation = getattr(store, "generation", 0)  # guarded-by: self._book_lock
@@ -306,44 +242,6 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
                 return
             self.shard_stats = self._build_shard_stats()
             self._store_generation = generation
-
-    @staticmethod
-    def _validate_process_segments(store: ShardedGraphStore) -> None:
-        """Process mode serves reads in detached workers, so every
-        segment must be a plain disk-backed ``DiskKVStore`` with the
-        block cache off: workers cannot see a coordinator-side cache
-        (stats would diverge from the serial engine), an in-memory
-        store has no file to map, and a fault-injecting wrapper's
-        dice rolls cannot be replicated across processes.  Replicated
-        segments are rejected for the same reason: failover is
-        coordinator-side state workers cannot observe.
-
-        The decoded-blob **hot cache** is deliberately allowed: it is
-        stats-transparent (hits book the same logical reads a cold
-        read would), and process mode serves it worker-side — each
-        ``MappedShardReader`` builds its own from the published
-        ``hot_cache_bytes`` budget, rebuilt (cold) whenever a
-        mutation-driven republish retires the old reader.
-        """
-        if getattr(store, "num_replicas", 0):
-            raise ValueError(
-                "executor='process' does not support replicated shards: "
-                "failover state lives in the coordinator")
-        for i, seg in enumerate(store.segments):
-            if getattr(seg, "is_replicated", False):
-                raise ValueError(
-                    f"executor='process' does not support replicated "
-                    f"shards; shard {i} is a ReplicatedShard")
-            kv = seg._kv
-            if type(kv) is not DiskKVStore:
-                raise ValueError(
-                    f"executor='process' needs plain DiskKVStore segments; "
-                    f"shard {i} is {type(kv).__name__}")
-            if kv._cache is not None:
-                raise ValueError(
-                    "executor='process' requires cache_bytes=0: the block "
-                    "cache lives in the coordinator and workers would "
-                    "bypass it, skewing cache_served/disk_served parity")
 
     def has_edge(self, u: int, v: int) -> bool:
         """Scalar query routed to the owning shard, dual-booked."""
@@ -404,53 +302,6 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
                 answers[survivors] = exists
             return answers, n - executed, executed, receipt
 
-    def _refresh_publications(self) -> dict[str, dict | None]:
-        """(Re)publish the filter and stale shard states; return metas.
-
-        The filter is republished when its identity or batch snapshot
-        changed (solutions swap ``_batch_index`` for a fresh object on
-        every maintenance-driven rebuild, so object identity is a
-        sound staleness signal).  The token holds strong references
-        and compares with ``is`` — comparing ``id()`` values is not
-        sound, because CPython reuses the id of a freed snapshot for
-        its replacement, which silently skipped the republish and left
-        workers filtering with stale codes.  Shard state is
-        republished when the segment's ``mutation_count`` moved.
-        Superseded blocks are unlinked immediately — attached workers
-        keep their mapping until they pick up the new generation.
-        """
-        metas: dict[str, dict | None] = {}
-        filt = self.nonedge_filter
-        if filt is None:
-            metas["filter"] = None
-        else:
-            token = (filt, getattr(filt, "_batch_index", None))
-            prev = self._published_gen.get("filter")
-            if (prev is None or prev[0] is not token[0]
-                    or prev[1] is not token[1]):
-                self._filter_gen += 1
-                shared = SharedObject(filt, "filter", self._filter_gen)
-                old = self._published.get("filter")
-                self._published["filter"] = shared
-                self._published_gen["filter"] = token
-                if old is not None:
-                    old.close()
-            metas["filter"] = self._published["filter"].meta
-        for i, seg in enumerate(self.store.segments):
-            role = f"shard{i}"
-            generation = seg._kv.mutation_count
-            if (role not in self._published
-                    or self._published_gen.get(role) != generation):
-                shared = SharedObject(seg._kv.export_packed_state(),
-                                      role, generation)
-                old = self._published.get(role)
-                self._published[role] = shared
-                self._published_gen[role] = generation
-                if old is not None:
-                    old.close()
-            metas[role] = self._published[role].meta
-        return metas
-
     def _has_edge_batch(self, tracer, pairs_u, pairs_v) -> np.ndarray:
         with tracer.span("query_batch", engine=self.stats.scope):
             us, vs = endpoint_arrays(pairs_u, pairs_v)
@@ -466,8 +317,6 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
             # rely on the coordinator's hold; they take no locks.
             with self._read_guard():
                 self._sync_generation()
-                if self.executor == "process":
-                    return self._process_batch(us, vs, answers)
                 slices = list(shard_slices(self.store.router, us, vs))
                 futures = [
                     (shard, idx,
@@ -495,56 +344,9 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
                             view.inc("positives", positives)
                 return answers
 
-    def _process_batch(self, us, vs, answers) -> np.ndarray:
-        """Fan a batch out to the process pool and book the results.
-
-        Booking mirrors the thread path field for field; the one
-        difference is that worker reads bypass the coordinator's
-        ``StorageStats``, so their logical read accounting
-        (records + stored bytes, identical to what the in-process
-        packed tier books) is applied to each segment's stats here.
-        """
-        n = len(us)
-        metas = self._refresh_publications()
-        slices = list(shard_slices(self.store.router, us, vs))
-        futures = [
-            (shard, idx,
-             self._pool.submit(_process_query_slice, shard, su, sv,
-                               metas["filter"], metas[f"shard{shard}"]))
-            for shard, idx, su, sv in slices
-        ]
-        # As in the thread path: join outside the booking lock so the
-        # scalar path is never serialized behind a worker process.
-        results = [(shard, idx, future.result())
-                   for shard, idx, future in futures]
-        with self._book_lock:
-            self.stats.inc("total", n)
-            for shard, idx, result in results:
-                slice_answers, filtered, executed, n_records, n_bytes = result
-                answers[idx] = slice_answers
-                positives = int(slice_answers.sum())
-                shard_view = self.shard_stats[shard]
-                shard_view.inc("total", len(idx))
-                if n_records:
-                    seg_stats = self.store.segments[shard].stats
-                    seg_stats.inc("disk_reads", n_records)
-                    seg_stats.inc("bytes_read", n_bytes)
-                for view in (self.stats, shard_view):
-                    view.inc("filtered", filtered)
-                    view.inc("executed", executed)
-                    view.inc("disk_served", n_records)
-                    view.inc("positives", positives)
-        return answers
-
     def close(self) -> None:
-        """Shut down the worker pool and unlink any published shared
-        memory (idempotent)."""
+        """Shut down the worker pool (idempotent)."""
         self._pool.shutdown(wait=True)
-        for shared in getattr(self, "_published", {}).values():
-            shared.close()
-        if self.executor == "process":
-            self._published = {}
-            self._published_gen = {}
 
     def __enter__(self) -> "ParallelEdgeQueryEngine":
         return self

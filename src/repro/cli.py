@@ -47,9 +47,7 @@ exercise the hash-partitioned store, thread-pool engine, and replica
 failover instead of the serial path, plus the storage-tier switches
 ``--compress`` (StreamVByte v3 adjacency records, default
 ``$REPRO_COMPRESS``), ``--mmap`` (mmap-served packed reads, default
-``$REPRO_MMAP``), ``--executor {thread,process}`` (default
-``$REPRO_EXECUTOR`` or ``thread``) selecting how the parallel engine
-fans out batches, and ``--hot-cache-bytes`` (default
+``$REPRO_MMAP``), and ``--hot-cache-bytes`` (default
 ``$REPRO_HOT_CACHE`` or 0) budgeting the shard-local decoded-blob hot
 cache (DESIGN.md §16).
 """
@@ -202,11 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=_env_flag("REPRO_MMAP"),
                          help="serve packed reads from an mmap of the log "
                               "(default: $REPRO_MMAP)")
-        sub.add_argument("--executor", choices=["thread", "process"],
-                         default=os.environ.get("REPRO_EXECUTOR", "thread"),
-                         help="parallel-engine fan-out mode (default: "
-                              "$REPRO_EXECUTOR or thread); process mode "
-                              "needs disk-backed, uncached segments")
         sub.add_argument("--hot-cache-bytes", type=int,
                          default=int(os.environ.get("REPRO_HOT_CACHE", "0")),
                          help="decoded-blob hot-cache budget, split across "
@@ -493,20 +486,18 @@ def _cmd_audit(args) -> int:
         for violation in report.violations:
             print(f"  {violation.format()}")
         failed += 0 if report.ok else 1
-    if args.shards > 1 or args.executor == "process":
+    if args.shards > 1:
         from .devtools import audit_parallel_engine
 
         print(f"parallel engine sweep: shards={args.shards} "
               f"workers={args.workers or args.shards} "
-              f"executor={args.executor} compress={args.compress} "
-              f"mmap={args.mmap}")
+              f"compress={args.compress} mmap={args.mmap}")
         for name in names:
             report = audit_parallel_engine(
                 graph, create_solution(name, k=args.k),
                 shards=args.shards, workers=args.workers or args.shards,
                 seed=args.seed, pairs=args.pairs, updates=args.updates,
                 compress=args.compress, use_mmap=args.mmap,
-                executor=args.executor,
             )
             print(report.summary())
             failed += 0 if report.ok else 1
@@ -516,7 +507,7 @@ def _cmd_audit(args) -> int:
         hot = args.hot_cache_bytes or (1 << 20)
         print(f"stream audit: kind={args.stream} ops={args.stream_ops} "
               f"shards={args.shards} workers={args.workers or args.shards} "
-              f"executor={args.executor} hot_cache_bytes={hot}")
+              f"hot_cache_bytes={hot}")
         for name in names:
             report = audit_stream(
                 graph, create_solution(name, k=args.k),
@@ -524,7 +515,6 @@ def _cmd_audit(args) -> int:
                 workers=args.workers or args.shards, seed=args.seed,
                 ops=args.stream_ops, hot_cache_bytes=hot,
                 compress=args.compress, use_mmap=args.mmap,
-                executor=args.executor,
             )
             print(report.summary())
             failed += 0 if report.ok else 1
@@ -561,11 +551,9 @@ def _obs_workload(args) -> None:
     answers half the pair workload through the scalar path and half
     through the batched pipeline, then applies a few edge updates so
     maintenance counters (and ``maintenance_reads``) move too.  The
-    storage-tier switches (``--compress``/``--mmap``/``--executor
-    process``) need a real log file, so any of them flips the workload
-    to a disk-backed temporary directory; process mode additionally
-    zeroes the cache (a coordinator-side cache is invisible to
-    workers).
+    storage-tier switches (``--compress``/``--mmap``) need a real log
+    file, so either flips the workload to a disk-backed temporary
+    directory.
     """
     import contextlib
     import tempfile
@@ -576,11 +564,9 @@ def _obs_workload(args) -> None:
     graph = powerlaw_graph(args.vertices, args.avg_degree, seed=args.seed)
     compress = getattr(args, "compress", False)
     use_mmap = getattr(args, "mmap", False)
-    executor = getattr(args, "executor", "thread")
     hot_bytes = getattr(args, "hot_cache_bytes", 0)
-    cache_bytes = args.cache_bytes if executor == "thread" else 0
     with contextlib.ExitStack() as stack:
-        if compress or use_mmap or executor == "process" or hot_bytes:
+        if compress or use_mmap or hot_bytes:
             # The hot cache lives in the disk tier, so asking for it
             # implies a disk-backed store just like the other switches.
             tmp = stack.enter_context(tempfile.TemporaryDirectory())
@@ -588,10 +574,9 @@ def _obs_workload(args) -> None:
         else:
             path = None
         db = VendGraphDB(path, k=args.k, method=args.method,
-                         cache_bytes=cache_bytes,
+                         cache_bytes=args.cache_bytes,
                          shards=args.shards, workers=args.workers,
                          compress=compress, use_mmap=use_mmap,
-                         executor=executor,
                          replicas=getattr(args, "replicas", 0),
                          hot_cache_bytes=hot_bytes)
         db.load_graph(graph)
@@ -687,19 +672,15 @@ def _cmd_bench(args) -> int:
     counts = stream.op_counts()
     probe_only = counts.get("insert", 0) == 0 and counts.get("delete", 0) == 0
 
-    cache_bytes = args.cache_bytes if args.executor == "thread" else 0
-
     def throughput(shards: int, workers: int | None,
-                   executor: str = "thread",
                    hot_bytes: int | None = None) -> float:
         hot = args.hot_cache_bytes if hot_bytes is None else hot_bytes
         with tempfile.TemporaryDirectory() as tmp:
             db = VendGraphDB(Path(tmp) / "adjacency.log", k=args.k,
                              method=args.method,
-                             cache_bytes=cache_bytes,
+                             cache_bytes=args.cache_bytes,
                              shards=shards, workers=workers,
                              compress=args.compress, use_mmap=args.mmap,
-                             executor=executor,
                              replicas=(args.replicas if shards > 1 else 0),
                              hot_cache_bytes=hot)
             db.load_graph(graph)
@@ -727,11 +708,11 @@ def _cmd_bench(args) -> int:
     print(f"bench graph: |V|={graph.num_vertices} |E|={graph.num_edges} "
           f"workload={stream.name} ops={len(stream)} probes={probes} "
           f"seed={args.seed} compress={args.compress} mmap={args.mmap} "
-          f"executor={args.executor} hot={args.hot_cache_bytes}")
+          f"hot={args.hot_cache_bytes}")
     serial = throughput(1, None)
     print(f"serial              : {serial:>12.0f} pairs/s")
     shards = max(args.shards, 2)
-    sharded = throughput(shards, args.workers, args.executor)
+    sharded = throughput(shards, args.workers)
     speedup = sharded / serial
     print(f"sharded s={shards} w={args.workers or shards}     : "
           f"{sharded:>12.0f} pairs/s  ({speedup:.2f}x)")
@@ -744,10 +725,9 @@ def _cmd_bench(args) -> int:
         budget = args.hot_cache_bytes or (4 << 20)
         if args.hot_cache_bytes:
             hot, cold = sharded, throughput(shards, args.workers,
-                                            args.executor, hot_bytes=0)
+                                            hot_bytes=0)
         else:
-            hot = throughput(shards, args.workers, args.executor,
-                             hot_bytes=budget)
+            hot = throughput(shards, args.workers, hot_bytes=budget)
             cold = sharded
         hot_speedup = hot / cold if cold else 0.0
         print(f"hot cache {budget >> 10}KiB    : {hot:>12.0f} pairs/s  "

@@ -310,7 +310,7 @@ def audit_parallel_engine(graph: Graph, solution: VendSolution,
                           shards: int = 4, workers: int = 4,
                           seed: int = 0, pairs: int = 2000,
                           updates: int = 25, compress: bool = False,
-                          use_mmap: bool = False, executor: str = "thread",
+                          use_mmap: bool = False,
                           workdir=None) -> ParallelAuditReport:
     """Differential audit of the shard-parallel engine vs the serial one.
 
@@ -328,13 +328,11 @@ def audit_parallel_engine(graph: Graph, solution: VendSolution,
     - **attribution** — per-shard ``cache_served + disk_served`` series
       sum exactly to the engine totals despite thread fan-out.
 
-    ``compress``/``use_mmap``/``executor`` sweep the PR 6 storage tier:
-    any of them switches both sides to disk-backed stores (under
+    ``compress``/``use_mmap`` sweep the PR 6 storage tier:
+    either switches both sides to disk-backed stores (under
     ``workdir``, or a temporary directory) whose logs are loaded in two
     halves — raw v2 records first, then the target format — so a
     compressed audit always replays a mixed v2→v3 log.
-    ``executor="process"`` additionally runs the parallel side on the
-    spawn-based process pool with shared-memory code publication.
     """
     import contextlib
     import tempfile
@@ -346,8 +344,7 @@ def audit_parallel_engine(graph: Graph, solution: VendSolution,
     from ..storage import GraphStore, ShardedGraphStore
 
     stack = contextlib.ExitStack()
-    needs_disk = compress or use_mmap or executor == "process"
-    if needs_disk:
+    if compress or use_mmap:
         if workdir is None:
             workdir = stack.enter_context(tempfile.TemporaryDirectory())
         base = Path(workdir)
@@ -367,7 +364,7 @@ def audit_parallel_engine(graph: Graph, solution: VendSolution,
         sharded_store.bulk_load(graph)
     serial = EdgeQueryEngine(serial_store, solution)
     parallel = ParallelEdgeQueryEngine(sharded_store, solution,
-                                       workers=workers, executor=executor)
+                                       workers=workers)
     report = ParallelAuditReport(
         solution=getattr(solution, "name", "?"), shards=shards,
         workers=workers, seed=seed,
@@ -698,8 +695,7 @@ def audit_stream(graph: Graph, solution: VendSolution,
                  stream_kind: str = "churn", shards: int = 4,
                  workers: int = 4, seed: int = 0, ops: int = 6000,
                  hot_cache_bytes: int = 1 << 20, compress: bool = True,
-                 use_mmap: bool = True,
-                 executor: str = "thread") -> StreamAuditReport:
+                 use_mmap: bool = True) -> StreamAuditReport:
     """Churn-storm differential audit: hot cache on vs off, bit for bit.
 
     Replays one seeded :func:`~repro.workloads.streams.make_stream`
@@ -749,8 +745,7 @@ def audit_stream(graph: Graph, solution: VendSolution,
             store.bulk_load(graph)
             stores.append(store)
             engines.append(ParallelEdgeQueryEngine(store, solution,
-                                                   workers=workers,
-                                                   executor=executor))
+                                                   workers=workers))
         cold_store, hot_store = stores
         cold, hot = engines
         filter_stale = False

@@ -136,24 +136,6 @@ class StatsView:
         fields = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
         return f"{type(self).__name__}({fields})"
 
-    # -- pickling ----------------------------------------------------------
-    #
-    # Process-pool workers receive NDF solutions whose stats views would
-    # otherwise drag the whole MetricsRegistry (and its locks) across
-    # the pickle boundary.  A view pickles as just its labels and
-    # reconnects to the *worker's* default registry on unpickle — the
-    # coordinator's registry stays the single source of truth, and any
-    # counters a worker bumps are deliberately local scratch.
-
-    def __getstate__(self) -> dict:
-        labels = dict(self.__dict__["_label_values"])
-        scope = labels.pop(self._SCOPE)
-        return {"scope": scope, "labels": labels}
-
-    def __setstate__(self, state: dict) -> None:
-        StatsView.__init__(self, registry=None, scope=state["scope"],
-                           **state["labels"])
-
 
 class StorageStats(StatsView):
     """Counters for physical storage activity (one KV store)."""

@@ -40,8 +40,7 @@ def membership_sweep(data: np.ndarray, counts: np.ndarray,
     lists with ``counts[i]`` values each; probe ``j`` asks whether
     ``vs[j]`` is in list ``group[j]``.  Every list is shifted into a
     disjoint value range so a single global ``searchsorted`` answers
-    all probes at once.  Shared by the batched probe paths and the
-    process-pool shard workers.
+    all probes at once.  Used by the batched probe path.
     """
     if data.size == 0:
         return np.zeros(len(vs), dtype=bool)

@@ -38,10 +38,6 @@ Invalidation protocol (generation-keyed, DESIGN.md §16):
 - **Reshard**: new-generation segments get fresh KV stores and
   therefore fresh caches; the budget is inherited with the rest of the
   segment config (``_INHERIT`` in ``sharding.py``).
-- **Republish** (process executor): the worker-side cache lives inside
-  the :class:`~repro.storage.shm.MappedShardReader`, which is rebuilt
-  whenever the coordinator publishes a new ``mutation_count``
-  generation — a stale cache cannot outlive the snapshot it decodes.
 
 Booking is **stats-transparent**: a hot hit books the same logical
 ``disk_reads``/``bytes_read`` a real read of the stored record would

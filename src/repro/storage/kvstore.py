@@ -166,13 +166,12 @@ def assemble_packed(src: np.ndarray, offs: np.ndarray, szs: np.ndarray,
                     out: np.ndarray, slots: np.ndarray) -> None:
     """Scatter stored records — raw or compressed — into decoded form.
 
-    ``src`` is any uint8 buffer (a span gather, an mmap view, a shared
-    memory segment) holding record ``i``'s stored payload at
+    ``src`` is any uint8 buffer (a span gather or an mmap view) holding record ``i``'s stored payload at
     ``offs[i]`` with stored size ``szs[i]``; its decoded bytes land at
     ``out[slots[i]:slots[i] + rawszs[i]]``.  Raw records are one
     whole-batch gather; compressed records are one
     :func:`~repro.simd.streamvbyte.decode_blobs_packed` pass.  Shared
-    by the packed read tiers and the process-pool shard workers.
+    by the packed read tiers.
     """
     raw = rtypes == _REC_PUT
     if raw.any():
@@ -270,8 +269,8 @@ class DiskKVStore:
         self._mmap: mmap.mmap | None = None
         self._mmap_np: np.ndarray | None = None
         # Bumped on every index mutation (put/delete/compact/recovery
-        # truncation): shared-memory mirrors published to process-pool
-        # workers key their staleness off this counter.
+        # truncation): the adaptive hot-cache tuner reads its deltas as
+        # the update rate.
         self.mutation_count = 0
         # Live-set compression accounting backing the
         # ``compression_ratio`` gauge: decoded vs stored bytes of every
@@ -789,37 +788,6 @@ class DiskKVStore:
         self.stats.inc("bytes_read", stored_bytes)
         if receipt is not None:
             receipt.count_disk_reads(count, stored_bytes)
-
-    def export_packed_state(self) -> dict:
-        """Snapshot of the read state a detached (worker) reader needs.
-
-        Returns the log path plus the sorted index mirror — everything
-        a read-only process needs to serve ``get_many_packed``-style
-        lookups against its own mmap of the log.  Buffered appends are
-        flushed first so the snapshot's offsets are all readable.
-        ``generation`` is :attr:`mutation_count`; publishers use it to
-        know when a worker-held snapshot went stale.
-        """
-        if self._pending_flush:
-            self._file.flush()
-            self._pending_flush = False
-        vi = self._vindex
-        if vi is None:
-            vi = self._vindex = self._build_vindex()
-        vkeys, voffs, vszs, _varmed, vrtypes, vrawszs = vi
-        return {
-            "path": str(self.path),
-            "keys": vkeys,
-            "offs": voffs,
-            "szs": vszs,
-            "rtypes": vrtypes,
-            "rawszs": vrawszs,
-            "generation": self.mutation_count,
-            # Detached readers build their own worker-side hot cache
-            # with the same budget (resizes land at the next republish).
-            "hot_cache_bytes": (self._hot.capacity_bytes
-                                if self._hot is not None else 0),
-        }
 
     def _build_vindex(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray, np.ndarray, np.ndarray]:

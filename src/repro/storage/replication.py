@@ -92,8 +92,8 @@ class ReplicatedShard:
         Label for the stats scope (purely observational).
     """
 
-    #: Duck-typing flag: the process executor and config validators use
-    #: this to reject replicated segments where they cannot be served.
+    #: Duck-typing flag: the differential audit uses this to find the
+    #: replicated segments whose copies it cross-checks.
     is_replicated = True
 
     def __init__(self, copies: list[GraphStore], shard: int | str = "?"):

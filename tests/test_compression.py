@@ -227,17 +227,3 @@ class TestMmapTier:
             _packed_all(store, keys)
             assert _packed_all(store, keys) == data
             store.close()
-
-
-class TestExportPackedState:
-    def test_export_matches_reads(self, tmp_path):
-        data = _adjacency(30, seed=10)
-        store = DiskKVStore(tmp_path / "kv.log", compress=True)
-        for k, v in data.items():
-            store.put(k, v)
-        state = store.export_packed_state()
-        assert state["generation"] == store.mutation_count
-        assert sorted(state["keys"].tolist()) == sorted(data)
-        store.put(99, _blob(range(3)))
-        assert store.mutation_count == state["generation"] + 1
-        store.close()

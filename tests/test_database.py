@@ -22,6 +22,10 @@ class TestSetup:
         with pytest.raises(ValueError):
             VendGraphDB(method="bloom")
 
+    def test_rejects_non_thread_executor(self, tmp_path):
+        with pytest.raises(ValueError, match="executor"):
+            VendGraphDB(tmp_path / "db.log", executor="process")
+
     def test_updates_require_load(self):
         database = VendGraphDB()
         with pytest.raises(RuntimeError):

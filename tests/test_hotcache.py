@@ -5,7 +5,7 @@ it on may change wall time but never verdicts, logical read counters,
 or byte totals.  These tests pin the vectorized membership view
 against ``membership_sweep`` bit for bit, the byte accounting against
 ``ndarray.nbytes`` exactly, and the on/off parity across every
-registered solution and executor shape.
+registered solution and engine shape.
 """
 
 import subprocess
@@ -251,14 +251,13 @@ def _verdict_bits(db, us, vs):
     return np.asarray(db.has_edge_batch(us, vs), dtype=bool)
 
 
-def _run_config(tmp_path, graph, solution, us, vs, tag, *, hot,
-                shards, executor):
+def _run_config(tmp_path, graph, solution, us, vs, tag, *, hot, shards):
     """Two warmed probe passes through one engine config; returns
     ``(pass1, pass2, disk_reads, bytes_read)``."""
     from repro.apps.edge_query import EdgeQueryEngine, ParallelEdgeQueryEngine
     from repro.storage import GraphStore, ShardedGraphStore
 
-    if shards == 1 and executor == "thread":
+    if shards == 1:
         store = GraphStore(tmp_path / f"{tag}.log", compress=True,
                            use_mmap=True, hot_cache_bytes=hot)
         engine = EdgeQueryEngine(store, solution)
@@ -266,8 +265,7 @@ def _run_config(tmp_path, graph, solution, us, vs, tag, *, hot,
         store = ShardedGraphStore(tmp_path / f"{tag}.log", num_shards=shards,
                                   compress=True, use_mmap=True,
                                   hot_cache_bytes=hot)
-        engine = ParallelEdgeQueryEngine(store, solution,
-                                         executor=executor)
+        engine = ParallelEdgeQueryEngine(store, solution)
     try:
         store.bulk_load(graph)
         first = np.asarray(engine.has_edge_batch(us, vs), dtype=bool)
@@ -295,35 +293,20 @@ class TestHotColdParityGrid:
         return us, vs
 
     @pytest.mark.parametrize("method", sorted(available_solutions()))
-    @pytest.mark.parametrize("shards,executor", [(1, "thread"),
-                                                 (3, "thread")])
+    @pytest.mark.parametrize("shards", [1, 3])
     def test_verdicts_and_counters_identical(self, tmp_path, graph, probes,
-                                             method, shards, executor):
+                                             method, shards):
         us, vs = probes
         solution = create_solution(method, k=4)
         solution.build(graph)
         cold = _run_config(tmp_path, graph, solution, us, vs, "cold",
-                           hot=0, shards=shards, executor=executor)
+                           hot=0, shards=shards)
         hot = _run_config(tmp_path, graph, solution, us, vs, "hot",
-                          hot=1 << 20, shards=shards, executor=executor)
+                          hot=1 << 20, shards=shards)
         assert np.array_equal(cold[0], hot[0])
         assert np.array_equal(cold[1], hot[1])
         assert cold[2] == hot[2]
         assert cold[3] == hot[3]
-
-    def test_process_executor_parity(self, tmp_path, graph, probes):
-        """One process-pool config: verdicts and logical counters match
-        the cold run even when reads happen in detached workers."""
-        us, vs = probes
-        solution = create_solution("hyb+", k=4)
-        solution.build(graph)
-        cold = _run_config(tmp_path, graph, solution, us, vs, "pcold",
-                           hot=0, shards=2, executor="process")
-        hot = _run_config(tmp_path, graph, solution, us, vs, "phot",
-                          hot=1 << 20, shards=2, executor="process")
-        assert np.array_equal(cold[0], hot[0])
-        assert np.array_equal(cold[1], hot[1])
-        assert cold[2:] == hot[2:]
 
     def test_mutation_invalidates_hot_entry(self, tmp_path, graph):
         with VendGraphDB(tmp_path / "mut.log", shards=2, compress=True,

@@ -224,20 +224,3 @@ class TestPublicFlush:
             seg.put_neighbors(1, [2, 3])
             seg.flush(sync=True)
             assert seg.get_neighbors(1) == [2, 3]
-
-
-class TestProcessExecutorRejection:
-    def test_process_engine_rejects_replicated_store(self, tmp_path):
-        from repro.apps.edge_query import ParallelEdgeQueryEngine
-
-        store = ShardedGraphStore(tmp_path / "g.db", num_shards=2,
-                                  replicas=1)
-        with pytest.raises(ValueError, match="replicated"):
-            ParallelEdgeQueryEngine(store, None, executor="process")
-        store.close()
-
-    def test_database_rejects_process_with_replicas(self, tmp_path):
-        from repro.apps import VendGraphDB
-
-        with pytest.raises(ValueError, match="replicas"):
-            VendGraphDB(tmp_path / "g.db", executor="process", replicas=1)

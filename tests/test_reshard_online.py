@@ -456,15 +456,6 @@ class TestDatabaseReshard:
             db.reshard(2)
         db.close()
 
-    def test_db_reshard_rejects_process_executor(self, tmp_path):
-        from repro.apps import VendGraphDB
-
-        db = VendGraphDB(tmp_path / "g.db", shards=2, executor="process")
-        db.load_graph(_ring_graph(16))
-        with pytest.raises(ValueError, match="process"):
-            db.reshard(4)
-        db.close()
-
     def test_db_reshard_with_replicas(self):
         from repro.apps import VendGraphDB
 
