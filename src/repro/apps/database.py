@@ -11,6 +11,13 @@ rebuilding the index when the ID universe outgrows ``I'``.
 The maintenance fetch is the *store itself*, so the disk accesses that
 vector reconstruction occasionally needs (Section V-D) are real reads,
 visible in the same counters as query traffic.
+
+Deletes defer that reconstruction.  ``remove_edge`` only queues the
+core endpoints whose codes still record the removed neighbor; such a
+code records a superset of the live edges, so it stays sound.  The next
+read gives every queued vertex a complete re-encode from the lists
+storage holds then, through one multi-get and one batched block
+selection.
 """
 
 from __future__ import annotations
@@ -109,6 +116,8 @@ class VendGraphDB:
             self._engine = EdgeQueryEngine(self.store, self.vend)
         self.db_stats = DatabaseStats()
         self._built = False
+        # Core vertices whose codes await a complete re-encode.
+        self._stale: set[int] = set()
 
     @property
     def num_shards(self) -> int:
@@ -136,12 +145,32 @@ class VendGraphDB:
         self.db_stats.inc("maintenance_reads", receipt.served)
         self.db_stats.inc("maintenance_disk_reads", receipt.disk_reads)
 
+    def _flush_stale(self) -> None:
+        """Re-encode every queued vertex from its *current* stored list.
+
+        The flush never replays a delete, so an edge deleted and then
+        re-inserted before this runs is still encoded.  Queued vertices
+        that no longer exist are skipped.  If the multi-get raises, the
+        queue is kept (the queued codes are still sound supersets) and
+        the error surfaces from the read that triggered the flush.
+        """
+        if not self._stale:
+            return
+        live = [v for v in sorted(self._stale) if self.store.has_vertex(v)]
+        receipt = ReadReceipt()
+        adjacency = self.store.get_neighbors_many(live, receipt=receipt)
+        self._book_maintenance(receipt)
+        self.vend.reencode({v: neighbors.tolist()
+                            for v, neighbors in adjacency.items()})
+        self._stale.clear()
+
     # -- loading -----------------------------------------------------------------
 
     def load_graph(self, graph: Graph) -> None:
         """Bulk-load a graph into storage and build the index."""
         self.store.bulk_load(graph)
         self.vend.build(graph)
+        self._stale.clear()
         self._built = True
 
     def rebuild_index(self) -> None:
@@ -162,6 +191,7 @@ class VendGraphDB:
             vertices=vertices)
         del adjacency  # the fetched blobs are not needed while encoding
         self.vend.build(graph)
+        self._stale.clear()
         self.db_stats.inc("index_rebuilds")
         self._built = True
 
@@ -169,10 +199,12 @@ class VendGraphDB:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Edge query: VEND filter first, storage only when undecided."""
+        self._flush_stale()
         return self._engine.has_edge(u, v)
 
     def has_edge_batch(self, pairs_u, pairs_v=None):
         """Vectorized edge queries through the batched engine pipeline."""
+        self._flush_stale()
         return self._engine.has_edge_batch(pairs_u, pairs_v)
 
     def neighbors(self, v: int) -> list[int]:
@@ -212,22 +244,31 @@ class VendGraphDB:
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
-        """Delete an edge; returns False when it did not exist."""
+        """Delete an edge; returns False when it did not exist.
+
+        Core endpoints that still record the edge are queued for a
+        complete re-encode at the next read.
+        """
         self._require_built()
         if not self.store.delete_edge(u, v):
             return False
-        self.vend.delete_edge(u, v, self._fetch_for_maintenance)
+        self._stale.update(self.vend.unrecord_edge(u, v))
         return True
 
     def remove_vertex(self, v: int) -> bool:
-        """Delete a vertex and its incident edges everywhere."""
+        """Delete a vertex and its incident edges everywhere.
+
+        The index reads ``v``'s list before storage forgets it; the core
+        neighbors that still record ``v`` join the queue, which is then
+        flushed against the lists storage holds after the delete.
+        """
         self._require_built()
         if not self.store.has_vertex(v):
             return False
-        # Scrub the index first: its reconstruction fetches must still
-        # see v's edges in storage.
-        self.vend.delete_vertex(v, self._fetch_for_maintenance)
+        neighbors = self._fetch_for_maintenance(v)
+        self._stale.update(self.vend.unrecord_vertex(v, neighbors))
         self.store.delete_vertex(v)
+        self._flush_stale()
         return True
 
     # -- topology ----------------------------------------------------------------

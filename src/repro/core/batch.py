@@ -34,20 +34,23 @@ def warm_batch_snapshot(filt) -> None:
     """Force a filter's lazy batch snapshot to build on *this* thread.
 
     Every solution rebuilds its snapshot lazily via the unguarded
-    ``if self._batch_index is None: self._batch_index = ...`` pattern.
-    That is fine single-threaded, but the shard-parallel engine
-    evaluates NDF slices on pool threads — two threads hitting a cold
-    snapshot would build it twice and publish a half-initialized object
-    to each other.  The engine therefore warms the snapshot once on the
-    coordinator thread before any fan-out; after maintenance (which
-    invalidates the snapshot) the next batch re-warms it the same way.
+    ``if self._batch_index is None: self._batch_index = ...`` pattern,
+    and the hybrid family publishes a row-patched copy the same way
+    after maintenance that marked dirty rows.  That is fine
+    single-threaded, but the shard-parallel engine evaluates NDF slices
+    on pool threads — two threads hitting a cold or dirty snapshot would
+    build or patch it twice and publish a half-initialized object to
+    each other.  The engine therefore warms the snapshot once on the
+    coordinator thread before any fan-out; after maintenance the next
+    batch re-warms (rebuilds or patches) it the same way.
 
     The snapshot itself stays **shared across shards** rather than
     being split per shard: ``F(f(u), f(v))`` reads *both* endpoints'
     codes, and ``v`` routinely lives on a different shard than ``u``,
     so per-shard code columns would force cross-shard chatter on every
-    pair.  A frozen read-only snapshot shared by all pool threads is
-    both correct and contention-free.
+    pair.  A snapshot is never written after it is published (a patch
+    is a copy), so sharing it across pool threads is both correct and
+    contention-free.
     """
     batch = getattr(filt, "is_nonedge_batch", None)
     if batch is not None:

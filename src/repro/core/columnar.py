@@ -9,7 +9,10 @@ words — and evaluates whole pair batches with array operations: the
 data-parallel execution the paper's SIMD section is about, applied at
 the query level.
 
-The snapshot is read-only; rebuild it after maintenance batches.
+The snapshot is never mutated in place.  After maintenance that only
+rewrites existing codes, :meth:`ColumnarIndex.patched` publishes a copy
+with just the touched rows refilled; a build or a change of the vertex
+set needs a full rebuild.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ _NO_MEMBER = np.uint32(0xFFFFFFFF)
 
 
 class ColumnarIndex:
-    """Vectorized, read-only snapshot of a hybrid-family index."""
+    """Vectorized, copy-on-write snapshot of a hybrid-family index."""
+
+    #: Per-row columns: copied by :meth:`patched`, rewritten a row at a
+    #: time by :meth:`_fill_row`.  ``_position`` is shared, since a patch
+    #: never adds or removes a vertex.
+    _ROW_COLUMNS = ("_flags", "_exact", "_kinds", "_lo", "_hi", "_members",
+                    "_slot_offset", "_slot_size", "_words")
 
     def __init__(self, solution: HybridVend):
         if solution.id_bits == 0:
@@ -57,24 +66,56 @@ class ColumnarIndex:
         self._words = np.zeros((n, words), dtype=np.uint64)
 
         for row, v in enumerate(vertices):
-            code = solution._codes[v]
-            raw = int(code.value)
-            for w in range(words):
-                self._words[row, w] = (raw >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-            self._exact[row] = bool(code.get_bit(solution._EXACT_BIT))
-            if code.get_bit(0) == 0:
-                ids = solution.decoded_ids(v)
-                self._members[:len(ids), row] = ids
-                continue
-            self._flags[row] = 1
-            kind, members, slot_offset, m = solution.core_layout(code)
-            self._kinds[row] = kind
-            self._members[:len(members), row] = members
-            if members:
-                self._lo[row] = members[0]
-                self._hi[row] = members[-1]
-            self._slot_offset[row] = slot_offset
-            self._slot_size[row] = m
+            self._fill_row(solution, row, v)
+
+    def _fill_row(self, solution: HybridVend, row: int, v: int) -> None:
+        """Write ``f(v)`` into ``row``, which must hold the initial
+        values (zeros, an all-sentinel member column, slot size 1)."""
+        code = solution._codes[v]
+        raw = int(code.value)
+        for w in range(self._words.shape[1]):
+            self._words[row, w] = (raw >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
+        self._exact[row] = bool(code.get_bit(solution._EXACT_BIT))
+        if code.get_bit(0) == 0:
+            ids = solution.decoded_ids(v)
+            self._members[:len(ids), row] = ids
+            return
+        self._flags[row] = 1
+        kind, members, slot_offset, m = solution.core_layout(code)
+        self._kinds[row] = kind
+        self._members[:len(members), row] = members
+        if members:
+            self._lo[row] = members[0]
+            self._hi[row] = members[-1]
+        self._slot_offset[row] = slot_offset
+        self._slot_size[row] = m
+
+    def patched(self, solution: HybridVend, vertices) -> "ColumnarIndex":
+        """A copy of this snapshot with the rows of ``vertices`` rebuilt
+        from ``solution``'s current codes.
+
+        Copy-on-write: this object is left untouched, so a reader still
+        holding it keeps a consistent (older) view.  Every vertex must
+        already have a row; adding or removing vertices needs a full
+        build.  The copy is made with ``type(self)`` rather than the
+        module-level class name, which instrumentation may replace.
+        """
+        clone = object.__new__(type(self))
+        clone.k = self.k
+        clone._position = self._position
+        for name in self._ROW_COLUMNS:
+            setattr(clone, name, getattr(self, name).copy())
+        rows = self._position[np.asarray(vertices, dtype=np.int64)]
+        # Back to the initial values _fill_row expects (it always
+        # rewrites the words and the exactness bit).
+        for column in (clone._flags, clone._kinds, clone._lo, clone._hi,
+                       clone._slot_offset):
+            column[rows] = 0
+        clone._slot_size[rows] = 1
+        clone._members[:, rows] = _NO_MEMBER
+        for row, v in zip(rows.tolist(), vertices):
+            clone._fill_row(solution, row, v)
+        return clone
 
     @property
     def num_codes(self) -> int:
@@ -184,9 +225,5 @@ class ColumnarIndex:
 
     def memory_bytes(self) -> int:
         """Bytes held by the snapshot's arrays."""
-        return (
-            self._position.nbytes + self._flags.nbytes + self._exact.nbytes
-            + self._kinds.nbytes + self._lo.nbytes + self._hi.nbytes
-            + self._members.nbytes + self._slot_offset.nbytes
-            + self._slot_size.nbytes + self._words.nbytes
-        )
+        return self._position.nbytes + sum(
+            getattr(self, name).nbytes for name in self._ROW_COLUMNS)

@@ -108,6 +108,9 @@ class HybridVend(VendSolution):
         self.selection_budget = selection_budget
         self.stats = MaintenanceStats(method=self.name)
         self._codes: dict[int, BitVector] = {}
+        # Vertices whose codes changed since the batch snapshot was
+        # published; the next batch refills just their rows.
+        self._dirty_rows: set[int] = set()
         self._max_id = 0
         # Layout fields; finalized by _configure_layout at build time.
         self.id_bits = 0
@@ -334,17 +337,33 @@ class HybridVend(VendSolution):
     def is_nonedge_batch(self, pairs_u, pairs_v=None) -> np.ndarray:
         """Vectorized ``F^hyb`` via a cached columnar snapshot.
 
-        The snapshot is rebuilt lazily after ``build`` or any
-        maintenance hook invalidates it; direct code mutation outside
-        those hooks requires an explicit rebuild.
+        The snapshot is built lazily after ``build`` or a change of the
+        vertex set drops it.  When maintenance only rewrote existing
+        codes, the next call publishes a patched copy with just those
+        rows refilled.  Direct code mutation outside the hooks requires
+        an explicit ``_invalidate_batch``.
         """
         us, vs = endpoint_arrays(pairs_u, pairs_v)
         if self.id_bits == 0 or not self._codes:
             return np.zeros(len(us), dtype=bool)  # unbuilt: nothing certified
-        if self._batch_index is None:
+        index = self._batch_index
+        if index is None:
             from .columnar import ColumnarIndex  # deferred: avoids cycle
-            self._batch_index = ColumnarIndex(self)
-        return self._batch_index.query_batch(us, vs)
+            index = self._batch_index = ColumnarIndex(self)
+        elif self._dirty_rows:
+            dirty, self._dirty_rows = self._dirty_rows, set()
+            index = self._batch_index = index.patched(self, sorted(dirty))
+        return index.query_batch(us, vs)
+
+    def _invalidate_batch(self, *vertices: int) -> None:
+        """Called bare, drop the batch snapshot (a build, or a vertex
+        added or removed).  Given the vertices whose codes changed, mark
+        only their rows for the next batch to refill."""
+        if vertices and self._batch_index is not None:
+            self._dirty_rows.update(vertices)
+        else:
+            super()._invalidate_batch()
+            self._dirty_rows.clear()
 
     # ---------------------------------------------------------------- NT-size
 
@@ -388,12 +407,12 @@ class HybridVend(VendSolution):
 
     def insert_edge(self, u: int, v: int, fetch: NeighborFetch) -> None:
         """Adjust codes so ``F^hyb(u, v)`` can no longer report NEpair."""
-        self._invalidate_batch()
         self.insert_vertex(u)
         self.insert_vertex(v)
         if not self.is_nonedge(u, v):
             self.stats.inc("inserts_noop")
             return
+        self._invalidate_batch(u, v)
         cu, cv = self._codes[u], self._codes[v]
         u_dec, v_dec = cu.get_bit(0) == 0, cv.get_bit(0) == 0
         # Fast path: an unfilled decodable vector absorbs the new ID.
@@ -435,59 +454,101 @@ class HybridVend(VendSolution):
         self._demote_lingering_claims(u, v)
 
     def delete_edge(self, u: int, v: int, fetch: NeighborFetch) -> None:
-        """Re-open the chance to detect the now-deleted pair."""
-        self._invalidate_batch()
-        rebuilt = 0
-        for owner, gone in ((u, v), (v, u)):
-            code = self._codes.get(owner)
-            if code is None:
-                continue
-            if code.get_bit(0) == 0:
-                ids = self.decoded_ids(owner)
-                if gone in ids:
-                    ids.remove(gone)
-                    alpha = bool(code.get_bit(self._EXACT_BIT))
-                    self._codes[owner] = self._encode_decodable(ids, alpha=alpha)
-                    rebuilt += 1
-            elif not self.ne_test(gone, code):
-                ids = [w for w in fetch(owner) if w != gone]
-                self._install_complete(owner, ids)
-                rebuilt += 1
-        if rebuilt:
-            self.stats.inc("deletes_rebuild", rebuilt)
+        """Re-open the chance to detect the now-deleted pair: the
+        storage-free :meth:`unrecord_edge`, then a complete re-encode of
+        the core endpoints it returns."""
+        stale = self.unrecord_edge(u, v)
+        self.reencode({w: [x for x in fetch(w) if x not in (u, v)]
+                       for w in stale})
+
+    def unrecord_edge(self, u: int, v: int) -> list[int]:
+        """Storage-free half of :meth:`delete_edge`.
+
+        A decodable endpoint drops the other endpoint from its explicit
+        list at once.  Returns the core endpoints whose codes still
+        record the deleted neighbor.  Those codes now record a superset
+        of the live edges, so every verdict stays sound until
+        :meth:`reencode` gives them a complete re-encode.
+        """
+        stale: list[int] = []
+        rewritten = [owner for owner, gone in ((u, v), (v, u))
+                     if self._scrub(owner, gone, stale)]
+        if rewritten:
+            self._invalidate_batch(*rewritten)
+        touched = len(rewritten) + len(stale)
+        if touched:
+            self.stats.inc("deletes_rebuild", touched)
         else:
             self.stats.inc("deletes_noop")
+        return stale
 
     def delete_vertex(self, v: int, fetch: NeighborFetch) -> None:
-        """Clear ``f^hyb(v)`` and scrub ``v`` from affected neighbors."""
+        """Clear ``f^hyb(v)`` and scrub ``v`` from affected neighbors:
+        the storage-free :meth:`unrecord_vertex`, then one batched
+        re-encode of the core neighbors it returns."""
         if v not in self._codes:
             return
+        stale = self.unrecord_vertex(v, fetch(v))
+        self.reencode({u: [w for w in fetch(u) if w != v] for u in stale})
+
+    def unrecord_vertex(self, v: int, neighbors) -> list[int]:
+        """Storage-free half of :meth:`delete_vertex`: drop ``f^hyb(v)``,
+        drop ``v`` from its decodable neighbors' lists, and return the
+        core neighbors whose codes still record ``v`` (sound supersets
+        until :meth:`reencode`, as in :meth:`unrecord_edge`)."""
+        if v not in self._codes:
+            return []
         self._invalidate_batch()
-        for u in fetch(v):
-            code = self._codes.get(u)
-            if code is None:
-                continue
-            if code.get_bit(0) == 0:
-                ids = self.decoded_ids(u)
-                if v in ids:
-                    ids.remove(v)
-                    alpha = bool(code.get_bit(self._EXACT_BIT))
-                    self._codes[u] = self._encode_decodable(ids, alpha=alpha)
-                    self.stats.inc("vertex_rebuilds")
-            elif not self.ne_test(v, code):
-                ids = [w for w in fetch(u) if w != v]
-                self._install_complete(u, ids)
-                self.stats.inc("vertex_rebuilds")
+        stale: list[int] = []
+        touched = sum(self._scrub(u, v, stale) for u in neighbors)
+        touched += len(stale)
+        if touched:
+            self.stats.inc("vertex_rebuilds", touched)
         del self._codes[v]
+        return stale
+
+    def reencode(self, adjacency) -> None:
+        """Complete re-encode of many vertices from their neighbor sets.
+
+        ``adjacency`` maps each vertex to its *complete* current
+        neighbor set, which is what permits a (fully trusted) decodable
+        code; every core block is selected in one batched call.
+        """
+        if not adjacency:
+            return
+        core, lists = [], []
+        for v, ids in adjacency.items():
+            ids = sorted(set(ids))
+            if len(ids) <= self.k_star:
+                self._codes[v] = self._encode_decodable(ids)
+            else:
+                core.append(v)
+                lists.append(ids)
+        if lists:
+            self._codes.update(zip(core, self._encode_cores(lists)))
+        self._invalidate_batch(*adjacency)
 
     # -- maintenance internals ----------------------------------------------------
 
-    def _install_complete(self, owner: int, ids: list[int]) -> None:
-        """Install a rebuild from a *complete* neighbor set."""
-        if ids:
-            self._codes[owner] = self._build_code(ids, complete=True)
-        else:
-            self._codes[owner] = self._encode_decodable([])
+    def _scrub(self, owner: int, gone: int, stale: list[int]) -> bool:
+        """Remove ``gone`` from ``f(owner)`` as far as that needs no
+        storage.  A decodable code is rewritten, and True returned (the
+        caller invalidates its row); a core code that still records
+        ``gone`` is appended to ``stale``."""
+        code = self._codes.get(owner)
+        if code is None:
+            return False
+        if code.get_bit(0) == 0:
+            ids = self.decoded_ids(owner)
+            if gone not in ids:
+                return False
+            ids.remove(gone)
+            alpha = bool(code.get_bit(self._EXACT_BIT))
+            self._codes[owner] = self._encode_decodable(ids, alpha=alpha)
+            return True
+        if not self.ne_test(gone, code):
+            stale.append(owner)
+        return False
 
     def _convert_to_core(self, owner: int, new_code: BitVector,
                          old_ids: list[int], partner: int) -> None:
@@ -511,6 +572,7 @@ class HybridVend(VendSolution):
                 recorded = not self.ne_test(owner, code_w)
             if not recorded:
                 code_w.set_bit(self._EXACT_BIT, 0)
+                self._invalidate_batch(w)
                 self.stats.inc("alpha_demotions")
 
     def _demote_lingering_claims(self, u: int, v: int) -> None:

@@ -18,9 +18,12 @@ R002 solution-completeness  a ``@register_solution`` class missing the scalar
                             a maintenance declaration (hooks or an explicit
                             ``supports_maintenance`` attribute)
 R003 cache-invalidation     a mutating method (``build``/``insert_*``/
-                            ``delete_*``) on a VEND solution that never calls
+                            ``delete_*``/``unrecord_*``/``reencode``) on a VEND
+                            solution that never calls
                             ``self._invalidate_batch()`` — stale snapshots make
-                            ``is_nonedge_batch`` unsound after maintenance
+                            ``is_nonedge_batch`` unsound after maintenance.
+                            Passing the touched vertices (which marks just
+                            their snapshot rows for refill) counts
 R004 seeded-randomness      unseeded ``np.random.*`` / ``random.*`` usage, which
                             breaks benchmark and fault-injection reproducibility
 R005 unsafe-exception       bare ``except:``, swallowed ``CorruptRecordError``,
@@ -83,7 +86,8 @@ HOT_PARTS = ("core", "simd", "storage")
 
 #: Methods that mutate codes/adjacency and must invalidate the snapshot.
 MUTATORS = frozenset(
-    {"build", "insert_edge", "delete_edge", "insert_vertex", "delete_vertex"}
+    {"build", "insert_edge", "delete_edge", "insert_vertex", "delete_vertex",
+     "unrecord_edge", "unrecord_vertex", "reencode"}
 )
 
 #: The interface every registered solution must expose (R002).

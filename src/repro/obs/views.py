@@ -260,8 +260,10 @@ class MaintenanceStats(StatsView):
         "inserts_fast": "Inserts appended into an unfilled decodable code",
         "inserts_rebuild": "Inserts that re-encoded one vector",
         "deletes_noop": "Edge deletes that required no re-encoding",
-        "deletes_rebuild": "Vectors re-encoded on deletion",
-        "vertex_rebuilds": "Vectors re-encoded by vertex deletion",
+        "deletes_rebuild": "Vectors re-encoded on deletion, or queued "
+                           "for a complete re-encode",
+        "vertex_rebuilds": "Vectors re-encoded by vertex deletion, or "
+                           "queued for a complete re-encode",
         "alpha_demotions": "Exactness bits cleared on conversions",
     }
 
@@ -298,7 +300,10 @@ class DatabaseStats(StatsView):
                  "index_rebuilds")
     _HELP = {
         "maintenance_reads": "Adjacency fetches performed for index "
-                             "maintenance (cache- or disk-served)",
+                             "maintenance: insert reconstruction, the "
+                             "batched re-encode of deletes queued before "
+                             "a read, full rebuilds (cache- or "
+                             "disk-served)",
         "maintenance_disk_reads": "Maintenance fetches that paid a "
                                   "physical read",
         "index_rebuilds": "Full index rebuilds (every rebuild_index: "

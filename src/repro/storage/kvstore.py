@@ -283,8 +283,9 @@ class DiskKVStore:
         self._index: dict[int, tuple[int, int, int | None, int, int]] = {}
         # Sorted-array mirror of ``_index`` for vectorized multi-get:
         # (keys, offsets, sizes, crc-armed, record types, raw sizes) as
-        # numpy arrays, rebuilt lazily after any index mutation
-        # (``None`` = stale).
+        # numpy arrays.  An overwrite or a checksum disarm rewrites its
+        # key's row in place; a new key, a tombstone or compaction drops
+        # it for a lazy rebuild (``None`` = stale).
         self._vindex: tuple[np.ndarray, np.ndarray, np.ndarray,
                             np.ndarray, np.ndarray, np.ndarray] | None = None
         self._cache = LRUCache(cache_bytes) if cache_bytes > 0 else None
@@ -401,11 +402,14 @@ class DiskKVStore:
         if old is not None:
             self._live_raw -= old[4]
             self._live_stored -= old[1]
-        self._index[key] = (offset + header_size, len(payload), crc,
-                            rtype, len(value))
+        loc = (offset + header_size, len(payload), crc, rtype, len(value))
+        self._index[key] = loc
         self._live_raw += len(value)
         self._live_stored += len(payload)
-        self._vindex = None
+        if old is None:
+            self._vindex = None
+        else:
+            self._set_vindex_row(key, loc)
         self._pending_flush = True
         self.mutation_count += 1
         self.stats.inc("disk_writes")
@@ -444,8 +448,25 @@ class DiskKVStore:
             # checksum, the same trade RocksDB makes by verifying
             # blocks on cache fill rather than on every hit.  A fresh
             # open rebuilds the index and re-arms every crc.
-            self._index[key] = (offset, size, None, rtype, raw_size)
-            self._vindex = None
+            loc = (offset, size, None, rtype, raw_size)
+            self._index[key] = loc
+            self._set_vindex_row(key, loc)
+
+    def _set_vindex_row(self, key: int,
+                        loc: tuple[int, int, int | None, int, int]) -> None:
+        """Rewrite the ``_vindex`` row of ``key``, already indexed, to
+        ``loc``.  Mutations run under the sharded store's exclusive
+        lock, and a disarm only ever clears a crc that has just been
+        checked, so the in-place write is safe for concurrent readers.
+        """
+        vi = self._vindex
+        if vi is None:
+            return
+        keys, offs, szs, armed, rtypes, rawszs = vi
+        pos = int(np.searchsorted(keys, key))
+        offs[pos], szs[pos], rtypes[pos], rawszs[pos] = (
+            loc[0], loc[1], loc[3], loc[4])
+        armed[pos] = loc[2] is not None
 
     def _verify_keys(self, keys) -> None:
         """First-touch checksum for freshly written records, unbooked.
@@ -676,13 +697,8 @@ class DiskKVStore:
             if not found.all():
                 raise KeyError(sorted(set(karr[~found].tolist())))
             if self.verify_reads and bool(varmed[pos].any()):
+                # Disarms rewrite rows in place: ``pos`` stays valid.
                 self._verify_keys(karr[varmed[pos]])
-                vi = self._vindex
-                if vi is None:
-                    vi = self._vindex = self._build_vindex()
-                vkeys, voffs, vszs, varmed, vrtypes, vrawszs = vi
-                pos = np.minimum(np.searchsorted(vkeys, karr),
-                                 len(vkeys) - 1)
             return self._packed_vectorized(karr, voffs[pos], vszs[pos],
                                            vrtypes[pos], vrawszs[pos],
                                            receipt)
@@ -758,8 +774,9 @@ class DiskKVStore:
                             f"offset {offset}"
                         )
                     # Verify-once-per-open, as _validate_record.
-                    index[key] = (offset, size, None, rtype, raw_size)
-                    self._vindex = None
+                    loc = (offset, size, None, rtype, raw_size)
+                    index[key] = loc
+                    self._set_vindex_row(key, loc)
             # One scatter (raw) plus one bulk decode pass (compressed)
             # places every record read above into its key-order slot.
             assemble_packed(src, src_offs, szs, rtypes, rawszs, out, slots)

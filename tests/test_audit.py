@@ -55,7 +55,9 @@ class FalseNonedgeSolution(PartialVend):
 
 
 class ForgetfulHybrid(HybridVend):
-    """Maintenance mutates codes but never drops the batch snapshot."""
+    """Maintenance mutates codes but never drops or patches the batch
+    snapshot: the old snapshot comes back and the dirty rows that would
+    have repaired it are discarded."""
 
     name = "forgetful-hybrid"
 
@@ -63,11 +65,13 @@ class ForgetfulHybrid(HybridVend):
         snapshot = self._batch_index
         super().insert_edge(u, v, fetch)
         self._batch_index = snapshot  # lint: disable=R003 (test double)
+        self._dirty_rows.clear()
 
     def delete_edge(self, u, v, fetch):
         snapshot = self._batch_index
         super().delete_edge(u, v, fetch)
         self._batch_index = snapshot  # lint: disable=R003 (test double)
+        self._dirty_rows.clear()
 
 
 def test_every_registered_solution_is_sound(graph, auditor):
