@@ -19,9 +19,7 @@ records per-scenario rows:
 
 Cold and hot engines are timed in *alternating* best-of rounds inside
 one process, so CPU frequency drift hits both sides equally — the
-ratio is stable run to run even when absolute ops/sec wander.  The
-adaptive tuner runs against the warmed hot store and its decision
-(measured skew, chosen budget, maintenance mode) is recorded.
+ratio is stable run to run even when absolute ops/sec wander.
 
 Emits ``benchmarks/results/throughput_workloads.json`` and, via
 ``bench_report``, the ``BENCH_PR10.json`` section at the repo root.
@@ -35,7 +33,6 @@ import numpy as np
 from repro.apps.database import VendGraphDB
 from repro.bench import results_dir
 from repro.graph import powerlaw_graph
-from repro.storage.tuning import AdaptiveTuner
 from repro.workloads import make_stream
 from repro.workloads.runner import run_stream
 
@@ -116,20 +113,6 @@ def test_workload_sweep_hot_cache(tmp_path, bench_report):
             "hot_cache": _cache_digest(dbs["hot"]),
         })
 
-    # The tuner reads the warmed (Zipf-heavy) telemetry: its skew
-    # estimate and mode recommendation become part of the record.
-    tuner = AdaptiveTuner.for_db(dbs["hot"], max_bytes=HOT_BYTES)
-    decision = tuner.tick()
-    tuner_row = {
-        "skew_estimate": round(decision.skew, 3),
-        "distinct_sampled": decision.distinct,
-        "budget_bytes": decision.budget_bytes,
-        "maintenance_mode": decision.maintenance_mode,
-        "hit_rate": round(decision.hit_rate, 4),
-    }
-    assert decision.skew > 0.3, (
-        "tuner failed to see skew in a Zipf-warmed access ring")
-
     # Write-bearing scenarios: the same stream of inserts/deletes is
     # applied to both stores (verdicts stay comparable), probes timed
     # by the runner.  Each write invalidates the shards' lazy probe
@@ -178,7 +161,6 @@ def test_workload_sweep_hot_cache(tmp_path, bench_report):
             "rounds": ROUNDS, "warm_passes": WARM_PASSES,
         },
         "scenarios": rows,
-        "tuner": tuner_row,
         "headline_hot_speedup": headline,
     }
     out = results_dir() / "throughput_workloads.json"

@@ -347,9 +347,8 @@ class VendGraphDB:
     def hot_caches(self) -> list:
         """Per-segment decoded-blob hot caches (empty when disabled).
 
-        The handle an :class:`~repro.storage.tuning.AdaptiveTuner`
-        samples and resizes; also used by benchmarks to report hit
-        rates.
+        Benchmarks and traces read hit rates and resident bytes
+        through this.
         """
         caches = getattr(self.store, "hot_caches", None)
         if caches is not None:

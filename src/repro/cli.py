@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit Prometheus text exposition format")
     stats.add_argument("--filter", default=None, metavar="PREFIX",
                        help="only export metric families whose name starts "
-                            "with PREFIX (e.g. repro_hot, repro_tuner); "
+                            "with PREFIX (e.g. repro_hot, repro_cache); "
                             "applies to all three output formats")
 
     trace = commands.add_parser(

@@ -14,7 +14,7 @@ Because the saved index is exactly the artifact that exists to avoid a
 a ``<name>.tmp`` sibling which is flushed, fsynced, and atomically
 swapped in with ``os.replace`` — an interrupted save leaves the
 previous good index untouched.  :func:`load_index` verifies the header
-checksum (format v2; v1 files without one still load).
+checksum (format v2) and refuses every other version.
 
 Only the hybrid family is persistable — the baselines rebuild in
 seconds and the Bloom comparators are not part of the product surface.
@@ -90,8 +90,7 @@ def save_index(solution: HybridVend, path: str | Path) -> int:
 def load_index(path: str | Path) -> HybridVend:
     """Reconstruct a hybrid/hyb+ index saved by :func:`save_index`.
 
-    Accepts the current checksummed v2 header and the original v1
-    header (no checksum) for files written before the format bump.
+    Accepts only the current checksummed v2 header.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -101,17 +100,14 @@ def load_index(path: str | Path) -> HybridVend:
      max_id, num_codes) = _HEADER_PREFIX.unpack_from(data)
     if magic != _MAGIC:
         raise IndexFormatError(f"{path}: bad magic {magic!r}")
-    if version == 1:
-        header_size = _HEADER_PREFIX.size
-    elif version == _VERSION:
-        header_size = _HEADER_PREFIX.size + _HEADER_CRC.size
-        if len(data) < header_size:
-            raise IndexFormatError(f"{path}: truncated header")
-        (stored_crc,) = _HEADER_CRC.unpack_from(data, _HEADER_PREFIX.size)
-        if zlib.crc32(data[:_HEADER_PREFIX.size]) != stored_crc:
-            raise IndexFormatError(f"{path}: header checksum mismatch")
-    else:
+    if version != _VERSION:
         raise IndexFormatError(f"{path}: unsupported version {version}")
+    header_size = _HEADER_PREFIX.size + _HEADER_CRC.size
+    if len(data) < header_size:
+        raise IndexFormatError(f"{path}: truncated header")
+    (stored_crc,) = _HEADER_CRC.unpack_from(data, _HEADER_PREFIX.size)
+    if zlib.crc32(data[:_HEADER_PREFIX.size]) != stored_crc:
+        raise IndexFormatError(f"{path}: header checksum mismatch")
     name = raw_name.rstrip(b"\0").decode()
     if name == "hybrid":
         solution: HybridVend = HybridVend(

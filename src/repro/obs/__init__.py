@@ -31,7 +31,6 @@ from .views import (
     QueryStats,
     StatsView,
     StorageStats,
-    TunerStats,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "MaintenanceStats",
     "FaultStats",
     "DatabaseStats",
-    "TunerStats",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "StorageStats",
     "QueryStats",
     "CacheStats",
-    "TunerStats",
     "MaintenanceStats",
     "FaultStats",
     "DatabaseStats",
@@ -216,34 +215,6 @@ class CacheStats(StatsView):
         "invalidations": "Entries dropped deliberately (updates, clears)",
         "entries": "Entries currently cached",
         "size_bytes": "Bytes currently cached",
-    }
-
-
-class TunerStats(StatsView):
-    """Adaptive hot-cache tuner: decisions taken and the inputs behind them.
-
-    One scope per tuner.  Counters record *decisions* (ticks, budget
-    resizes, maintenance-mode flips); gauges expose the latest
-    estimates the decisions were based on, so ``repro stats`` shows not
-    just *that* the tuner resized but *why* (skew, observed update
-    rate, the budget it converged on).
-    """
-
-    _PREFIX = "repro_tuner"
-    _SCOPE = "tuner"
-    _COUNTERS = ("ticks", "resizes", "mode_switches")
-    _GAUGES = ("skew_estimate", "budget_bytes", "update_rate",
-               "hit_rate", "rebuild_mode")
-    _HELP = {
-        "ticks": "Tuner evaluation passes",
-        "resizes": "Budget changes applied to hot caches",
-        "mode_switches": "Hooks<->rebuild maintenance recommendation flips",
-        "skew_estimate": "Latest Zipfian skew estimate (log-log slope)",
-        "budget_bytes": "Latest total hot-cache budget chosen",
-        "update_rate": "Mutations per second measured over the last tick",
-        "hit_rate": "Aggregate hot-cache hit rate at the last tick",
-        "rebuild_mode": "1 when batch-rebuild maintenance is recommended, "
-                        "0 for incremental hooks",
     }
 
 

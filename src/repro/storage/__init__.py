@@ -18,14 +18,11 @@ from .kvstore import (
 )
 from .replication import ReplicatedShard, ReplicationStats
 from .sharding import ReshardStats, ShardedGraphStore, ShardRouter
-from .tuning import AdaptiveTuner, TunerDecision
 
 __all__ = [
     "LRUCache",
     "HotSetCache",
     "CountMinSketch",
-    "AdaptiveTuner",
-    "TunerDecision",
     "GraphStore",
     "ShardRouter",
     "ShardedGraphStore",

@@ -136,15 +136,6 @@ class FaultInjectingKVStore:
     def path(self):
         return getattr(self._inner, "path", None)
 
-    @property
-    def format_version(self) -> int:
-        return getattr(self._inner, "format_version", 2)
-
-    @property
-    def mutation_count(self) -> int:
-        """Passthrough of the inner store's index-mutation counter."""
-        return getattr(self._inner, "mutation_count", 0)
-
     def reset_degraded(self) -> None:
         self.degraded = False
 

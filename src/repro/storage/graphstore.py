@@ -205,19 +205,8 @@ class GraphStore:
                                             receipt=receipt)
         arrays = [adjacency[int(u)] for u in unique_us]
         lengths = np.asarray([len(a) for a in arrays], dtype=np.int64)
-        if lengths.sum() == 0:
-            return np.zeros(len(us), dtype=bool)
-        # Shift every group into a disjoint value range so one global
-        # searchsorted answers all per-group membership probes at once.
-        base = np.arange(len(arrays), dtype=np.int64) * _ID_LIMIT
-        combined = np.concatenate(
-            [a.astype(np.int64) for a in arrays]
-        ) + np.repeat(base, lengths)
-        valid = (vs >= 0) & (vs < _ID_LIMIT)
-        probes = vs + base[group]
-        pos = np.searchsorted(combined, probes)
-        pos = np.minimum(pos, len(combined) - 1)
-        return (combined[pos] == probes) & valid
+        data = np.concatenate(arrays).view(np.uint8)
+        return membership_sweep(data, lengths, group, vs)
 
     def probe_edges(self, us, vs,
                     receipt: ReadReceipt | None = None) -> np.ndarray:

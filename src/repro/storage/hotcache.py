@@ -45,15 +45,13 @@ Booking is **stats-transparent**: a hot hit books the same logical
 page cache), so verdicts *and* storage/query counters are bitwise
 identical with the cache on or off.  The cache's own effectiveness is
 visible in its :class:`~repro.obs.CacheStats` series
-(``repro_cache{cache="hot<N>"}``) and the tuner's gauges.
+(``repro_cache{cache="hot<N>"}``).
 
 Thread safety: all mutating entry points hold one ``RLock`` (a leaf
 lock — nothing else is ever acquired under it).  A published snapshot
 tuple is immutable; concurrent readers may keep using a superseded
 snapshot only while no *invalidating* mutation ran, which the callers
-guarantee (segment mutations hold the sharded store's write lock;
-the background tuner only resizes capacity, and capacity evictions
-never change a surviving entry's bytes).
+guarantee (segment mutations hold the sharded store's write lock).
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ __all__ = ["CountMinSketch", "HotSetCache"]
 
 #: Per-probe cap on sketch updates: the access stream is sampled, not
 #: exhaustively counted, so observation stays O(1)-ish per batch (the
-#: Tětek–Thorup point: skew estimation needs samples, not a census).
+#: Tětek–Thorup point: popularity estimation needs samples, not a census).
 _OBSERVE_CAP = 2048
 #: Per-probe cap on admissions, bounding warm-up churn per batch.
 _ADMIT_CAP = 1024
@@ -90,8 +88,6 @@ _LUT_CAP = 1 << 22
 #: matrix); above it — sparse IDs or a huge resident set — the view
 #: falls back to the searchsorted-over-shifted-ranges path.
 _BITMAP_CAP_BYTES = 64 << 20
-#: Recent-access ring size backing the skew estimate.
-_RING_SIZE = 4096
 #: Adjacency entries are packed uint32 vertex IDs; the membership view
 #: shifts each cached list into a disjoint ``key_index * 2**32`` value
 #: range so one global searchsorted answers every probe (the same
@@ -180,10 +176,6 @@ class HotSetCache:
         self._stale_bytes = 0  # guarded-by: self._lock
         self._floor = 0  # guarded-by: self._lock
         self.sketch = CountMinSketch()
-        # Ring of recently sampled access keys (skew estimation).
-        self._ring = np.full(_RING_SIZE, -1, dtype=np.int64)  # guarded-by: self._lock
-        self._ring_pos = 0  # guarded-by: self._lock
-        self._observed_total = 0  # guarded-by: self._lock
         self._observe_calls = 0  # guarded-by: self._lock
         # Hot caches share the block-cache metric family but take a
         # "hotN" scope label, so `repro stats --filter` and dashboards
@@ -205,11 +197,6 @@ class HotSetCache:
     def generation(self) -> int:
         """Bumps on every invalidating or structural change."""
         return self._generation
-
-    @property
-    def observed_total(self) -> int:
-        """Sampled accesses recorded so far (tuner input)."""
-        return self._observed_total
 
     @property
     def stats(self) -> CacheStats:
@@ -249,20 +236,6 @@ class HotSetCache:
             sample = np.asarray(sample, dtype=np.int64)
             self._observe_calls += 1
             self.sketch.add(sample)
-            self._observed_total += len(sample)
-            pos = self._ring_pos
-            for chunk in (sample[: _RING_SIZE],):
-                k = len(chunk)
-                first = min(k, _RING_SIZE - pos)
-                self._ring[pos:pos + first] = chunk[:first]
-                if k > first:
-                    self._ring[: k - first] = chunk[first:]
-                self._ring_pos = (pos + k) % _RING_SIZE
-
-    def recent_accesses(self) -> np.ndarray:
-        """The sampled-access ring (filled slots only), newest-last."""
-        with self._lock:
-            return self._ring[self._ring != -1].copy()
 
     # -- hit path ----------------------------------------------------------
 
@@ -634,14 +607,4 @@ class HotSetCache:
             self._generation += 1
             self._snapshot = None
             self._member_view = None
-            self._sync_gauges()
-
-    def set_capacity(self, capacity_bytes: int) -> None:
-        """Resize the budget (the tuner's knob); sheds if shrinking."""
-        if capacity_bytes < 0:
-            raise ValueError("capacity must be non-negative")
-        with self._lock:
-            self.capacity_bytes = int(capacity_bytes)
-            if self._size > self.capacity_bytes:
-                self._evict_coldest_locked()
             self._sync_gauges()

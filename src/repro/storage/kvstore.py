@@ -7,8 +7,8 @@ file and is counted in :class:`StorageStats` — those counters are what
 the paper's Fig. 9 experiment is about (VEND exists to avoid exactly
 these reads).
 
-Crash safety (DESIGN.md §8).  New logs use the **v2 record format**:
-an 8-byte file magic followed by self-checking frames::
+Crash safety (DESIGN.md §8).  Logs use the **v2 record format**: an
+8-byte file magic followed by self-checking frames::
 
     [type:1][key:int64][length:uint32][crc32:uint32][payload]
 
@@ -19,12 +19,12 @@ Replay truncates the log back to the last intact record boundary and
 logs a recovery warning instead of indexing bytes that don't exist.
 Tombstones are an explicit record type, not a length sentinel.
 
-Logs written by the previous (v1) format — ``<qI`` header, payload,
-``0xFFFFFFFF`` length as the tombstone sentinel — are still replayed
-(with bounds-checked torn-tail truncation); a legacy log keeps
-appending v1 records until :meth:`DiskKVStore.compact` rewrites it,
-which always emits v2 and is itself atomic (temp file + fsync +
-``os.replace``).
+A file shorter than the magic whose bytes are a prefix of it is a new
+log torn by a crash before its magic was durable; it is reset to an
+empty log with a recovery warning.  Any other file that does not
+start with the magic is refused and left untouched.
+:meth:`DiskKVStore.compact` rewrites the log atomically (temp file +
+fsync + ``os.replace``).
 
 Compression (DESIGN.md §12, the **v3 records**).  With
 ``compress=True`` a ``put`` whose value parses as a non-decreasing
@@ -91,8 +91,9 @@ logger = logging.getLogger(__name__)
 #: 8-byte magic that opens every v2 log file.
 LOG_MAGIC = b"RKVLOG2\x00"
 
-_HEADER_V1 = struct.Struct("<qI")  # key (int64), value length (uint32)
-_V1_TOMBSTONE = 0xFFFFFFFF  # v1 length sentinel (collides with real 2^32-1)
+# Reserved value length: the tombstone sentinel of the retired v1
+# log format.  No value may have it.
+_V1_TOMBSTONE = 0xFFFFFFFF
 
 _FRAME = struct.Struct("<BqII")  # type, key, length, crc32
 _CRC_PREFIX = struct.Struct("<BqI")  # the frame fields the crc covers
@@ -107,9 +108,8 @@ _REC_PUT_SVBM = 0x05
 _BLOB_TYPE_BASE = 0x02
 _BLOB_RECORD_TYPES = frozenset((_REC_PUT_SVB1, _REC_PUT_SVBG, _REC_PUT_SVBM))
 
-#: Largest storable value.  The v1 tombstone sentinel occupies length
-#: 2^32-1, so any value whose length would reach the sentinel is
-#: rejected in *both* formats to keep logs mutually unambiguous.
+#: Largest storable value: below the reserved sentinel length, so it
+#: also fits the frame's uint32 length field.
 MAX_VALUE_BYTES = _V1_TOMBSTONE - 1
 
 #: Multi-get read coalescing: two offset-adjacent records whose gap is
@@ -139,7 +139,7 @@ def _encode_frame(rtype: int, key: int, payload: bytes = b"") -> bytes:
 
 
 def _check_value_size(size: int) -> None:
-    """Reject values whose length collides with the v1 tombstone sentinel."""
+    """Reject values whose length reaches the reserved sentinel."""
     if size > MAX_VALUE_BYTES:
         raise ValueError(
             f"value of {size} bytes exceeds the {MAX_VALUE_BYTES}-byte "
@@ -268,18 +268,14 @@ class DiskKVStore:
         self._use_mmap = bool(use_mmap)
         self._mmap: mmap.mmap | None = None
         self._mmap_np: np.ndarray | None = None
-        # Bumped on every index mutation (put/delete/compact/recovery
-        # truncation): the adaptive hot-cache tuner reads its deltas as
-        # the update rate.
-        self.mutation_count = 0
         # Live-set compression accounting backing the
         # ``compression_ratio`` gauge: decoded vs stored bytes of every
         # currently-indexed record.
         self._live_raw = 0
         self._live_stored = 0
-        # key -> (payload offset, stored size, frame crc32 or None for
-        # v1 / already verified, record type, decoded size).  Stored
-        # and decoded sizes coincide for raw records.
+        # key -> (payload offset, stored size, frame crc32 or None once
+        # verified, record type, decoded size).  Stored and decoded
+        # sizes coincide for raw records.
         self._index: dict[int, tuple[int, int, int | None, int, int]] = {}
         # Sorted-array mirror of ``_index`` for vectorized multi-get:
         # (keys, offsets, sizes, crc-armed, record types, raw sizes) as
@@ -295,7 +291,6 @@ class DiskKVStore:
         self._file = open(self.path, "a+b")
         self._file.seek(0, os.SEEK_END)
         if self._file.tell() == 0:
-            self._format = 2
             self._file.write(LOG_MAGIC)
             self._file.flush()
         else:
@@ -314,11 +309,6 @@ class DiskKVStore:
     # -- public API --------------------------------------------------------
 
     @property
-    def format_version(self) -> int:
-        """2 for checksummed logs, 1 for legacy logs (until compacted)."""
-        return self._format
-
-    @property
     def hot_cache(self) -> HotSetCache | None:
         """The decoded-blob hot cache, or None when disabled."""
         return self._hot
@@ -335,14 +325,13 @@ class DiskKVStore:
     def _make_record(self, value: bytes) -> tuple[int, bytes]:
         """``(record type, stored payload)`` for ``value`` as configured.
 
-        Compression applies only to v2-format logs and only when the
-        value is a non-empty multiple-of-4-bytes buffer whose uint32
-        lanes are non-decreasing (a sorted adjacency blob) **and** the
-        encoding is strictly smaller — everything else stays a raw put,
-        so arbitrary values and adversarial blobs never regress.
+        Compression applies only when the value is a non-empty
+        multiple-of-4-bytes buffer whose uint32 lanes are non-decreasing
+        (a sorted adjacency blob) **and** the encoding is strictly
+        smaller — everything else stays a raw put, so arbitrary values
+        and adversarial blobs never regress.
         """
-        if (self._compress and self._format == 2
-                and len(value) >= 4 and len(value) % 4 == 0):
+        if self._compress and len(value) >= 4 and len(value) % 4 == 0:
             lanes = np.frombuffer(value, dtype="<u4")
             if lanes.size == 1 or bool((lanes[1:] >= lanes[:-1]).all()):
                 payload = encode_blob(lanes)
@@ -360,8 +349,6 @@ class DiskKVStore:
         """
         _check_value_size(len(value))
         rtype, payload = self._make_record(value)
-        if self._format == 1:
-            return _HEADER_V1.pack(key, len(payload)) + payload
         return _encode_frame(rtype, key, payload)
 
     def _update_compression_gauge(self) -> None:
@@ -379,12 +366,7 @@ class DiskKVStore:
         """Write ``value`` under ``key`` (append + index update)."""
         _check_value_size(len(value))
         rtype, payload = self._make_record(value)
-        if self._format == 1:
-            record = _HEADER_V1.pack(key, len(payload)) + payload
-            header_size = _HEADER_V1.size
-        else:
-            record = _encode_frame(rtype, key, payload)
-            header_size = _FRAME.size
+        record = _encode_frame(rtype, key, payload)
         self._file.seek(0, os.SEEK_END)
         offset = self._file.tell()
         try:
@@ -397,12 +379,12 @@ class DiskKVStore:
             except OSError:
                 pass
             raise
-        crc = None if self._format == 1 else _record_crc(rtype, key, payload)
+        crc = _record_crc(rtype, key, payload)
         old = self._index.get(key)
         if old is not None:
             self._live_raw -= old[4]
             self._live_stored -= old[1]
-        loc = (offset + header_size, len(payload), crc, rtype, len(value))
+        loc = (offset + _FRAME.size, len(payload), crc, rtype, len(value))
         self._index[key] = loc
         self._live_raw += len(value)
         self._live_stored += len(payload)
@@ -411,7 +393,6 @@ class DiskKVStore:
         else:
             self._set_vindex_row(key, loc)
         self._pending_flush = True
-        self.mutation_count += 1
         self.stats.inc("disk_writes")
         self.stats.inc("bytes_written", len(record))
         if rtype != _REC_PUT:
@@ -1073,10 +1054,7 @@ class DiskKVStore:
         """Remove ``key``; appends a tombstone so recovery stays correct."""
         if key not in self._index:
             return False
-        if self._format == 1:
-            record = _HEADER_V1.pack(key, _V1_TOMBSTONE)
-        else:
-            record = _encode_frame(_REC_TOMBSTONE, key)
+        record = _encode_frame(_REC_TOMBSTONE, key)
         self._file.seek(0, os.SEEK_END)
         self._file.write(record)
         self._pending_flush = True
@@ -1087,7 +1065,6 @@ class DiskKVStore:
         self._live_stored -= old[1]
         self._update_compression_gauge()
         self._vindex = None
-        self.mutation_count += 1
         if self._cache is not None:
             self._cache.evict(key)
         if self._hot is not None:
@@ -1155,10 +1132,8 @@ class DiskKVStore:
         os.close(self._read_fd)
         self._read_fd = os.open(self.path, os.O_RDONLY)
         self._pending_flush = False
-        self._format = 2
         self._index = new_index
         self._vindex = None
-        self.mutation_count += 1
         self._recount_live_bytes()
         if self._cache is not None:
             self._cache.clear()
@@ -1188,53 +1163,26 @@ class DiskKVStore:
     def _replay(self) -> None:
         """Rebuild the index by scanning the log from the start.
 
-        Dispatches on the file magic: v2 logs get full structural +
-        checksum validation, legacy v1 logs get bounds validation.
-        Either way a torn or corrupt tail is truncated back to the
-        last intact record boundary.
+        Every frame gets structural + checksum validation; a torn or
+        corrupt tail is truncated back to the last intact record
+        boundary.  A torn magic resets the log; a file without the
+        magic raises :class:`CorruptRecordError` and is not modified.
         """
         self._file.seek(0, os.SEEK_END)
         total = self._file.tell()
         self._file.seek(0)
         prefix = self._file.read(len(LOG_MAGIC))
-        if prefix == LOG_MAGIC:
-            self._format = 2
-            self._replay_v2(total)
-        else:
-            self._format = 1
-            self._file.seek(0)
-            self._replay_v1(total)
-
-    def _truncate_tail(self, pos: int, reason: str) -> None:
-        logger.warning(
-            "recovering %s: %s; truncating torn tail at byte %d",
-            self.path, reason, pos,
-        )
-        self._file.truncate(pos)
-        self._file.flush()
-        self.mutation_count += 1
-
-    def _replay_v1(self, total: int) -> None:
-        pos = 0
-        while pos < total:
-            header = self._file.read(_HEADER_V1.size)
-            if len(header) < _HEADER_V1.size:
-                self._truncate_tail(pos, "short v1 record header")
-                return
-            key, size = _HEADER_V1.unpack(header)
-            if size == _V1_TOMBSTONE:
-                self._index.pop(key, None)
-                pos += _HEADER_V1.size
-                continue
-            offset = pos + _HEADER_V1.size
-            if offset + size > total:
-                self._truncate_tail(pos, "v1 record extends past EOF")
-                return
-            self._index[key] = (offset, size, None, _REC_PUT, size)
-            pos = offset + size
-            self._file.seek(pos)
-
-    def _replay_v2(self, total: int) -> None:
+        if prefix != LOG_MAGIC:
+            if not LOG_MAGIC.startswith(prefix):
+                self._file.close()
+                raise CorruptRecordError(
+                    f"{self.path} is not a log: it does not start with "
+                    f"the log magic {LOG_MAGIC!r}")
+            # A crash tore the magic of a new log before any record.
+            self._truncate_tail(0, "torn log magic")
+            self._file.write(LOG_MAGIC)
+            self._file.flush()
+            return
         pos = len(LOG_MAGIC)
         while pos < total:
             header = self._file.read(_FRAME.size)
@@ -1271,6 +1219,14 @@ class DiskKVStore:
                 self._index[key] = (offset, size, crc, rtype, 4 * count)
             pos = offset + size
 
+    def _truncate_tail(self, pos: int, reason: str) -> None:
+        logger.warning(
+            "recovering %s: %s; truncating torn tail at byte %d",
+            self.path, reason, pos,
+        )
+        self._file.truncate(pos)
+        self._file.flush()
+
 
 class InMemoryKVStore:
     """Dict-backed store with the same interface and stats semantics.
@@ -1283,7 +1239,6 @@ class InMemoryKVStore:
 
     def __init__(self, cache_bytes: int = 0, hot_cache_bytes: int = 0):
         self.stats = StorageStats()
-        self.mutation_count = 0  # interface parity with DiskKVStore
         self._data: dict[int, bytes] = {}
         self._cache = LRUCache(cache_bytes) if cache_bytes > 0 else None
         # Accepted for constructor parity; a dict store's values are
@@ -1302,7 +1257,6 @@ class InMemoryKVStore:
     def put(self, key: int, value: bytes) -> None:
         _check_value_size(len(value))
         self._data[key] = value
-        self.mutation_count += 1
         self.stats.inc("disk_writes")
         self.stats.inc("bytes_written", len(value))
         if self._cache is not None:
@@ -1366,7 +1320,6 @@ class InMemoryKVStore:
     def delete(self, key: int) -> bool:
         if key in self._data:
             del self._data[key]
-            self.mutation_count += 1
             self.stats.inc("disk_writes")
             if self._cache is not None:
                 self._cache.evict(key)

@@ -373,8 +373,7 @@ class ShardedGraphStore:
         (primary + R replicas, synchronous writes, read failover).
     hot_cache_bytes:
         **Total** decoded-blob hot-cache budget, split evenly across
-        the shard-local caches like ``cache_bytes`` (the adaptive
-        tuner may rebalance per shard afterwards).  Ignored when
+        the shard-local caches like ``cache_bytes``.  Ignored when
         ``kv_factory`` builds the stores or segments are in-memory.
     """
 
@@ -410,8 +409,7 @@ class ShardedGraphStore:
         per_shard_cache = (self._cache_bytes // num_shards
                            if num_shards else 0)
         # Like the block cache, the hot-cache budget is a store-wide
-        # total split evenly; the adaptive tuner rebalances per shard
-        # afterwards via HotSetCache.set_capacity.
+        # total split evenly.
         per_shard_hot = (self._hot_cache_bytes // num_shards
                          if num_shards else 0)
 
@@ -526,8 +524,7 @@ class ShardedGraphStore:
         """Per-segment decoded-blob hot caches (empty when disabled).
 
         Replicated segments have none (their copies are plain block
-        stores); this is the handle the adaptive tuner iterates to
-        sample access frequencies and rebalance budgets.
+        stores).  Benchmarks read their hit rates through this.
         """
         out = []
         for seg in self.segments:

@@ -2,8 +2,8 @@
 
 Two layers: the Section VII-B pair/update samplers (``pairs.py``,
 ``updates.py``) used by the original experiments, and the streaming
-engine (``streams.py`` + ``runner.py``) that drives the hot-cache and
-adaptive-tuning benchmarks with ordered, seeded, read/write op streams.
+engine (``streams.py`` + ``runner.py``) that drives the hot-cache
+benchmarks with ordered, seeded, read/write op streams.
 """
 
 from .pairs import common_neighbor_pairs, mixed_pairs, random_pairs

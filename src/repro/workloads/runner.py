@@ -1,25 +1,17 @@
 """Stream execution against a :class:`~repro.apps.database.VendGraphDB`.
 
 The runner is the piece that turns a :class:`~repro.workloads.streams.
-WorkloadStream` into actual traffic, preserving the two properties the
-benchmarks lean on:
+WorkloadStream` into actual traffic, preserving the property the
+benchmarks lean on: **batching follows the stream, not the runner.**
+Consecutive probe ops are served through vectorized ``has_edge_batch``
+calls (chunked at ``batch_size``); a write op ends the run.  A churn
+stream with 2048-probe runs gets long batches, a mixed stream gets
+short ones — the runner never reorders across a write, so verdicts are
+exactly what a serial client would have seen.
 
-- **Batching follows the stream, not the runner.**  Consecutive probe
-  ops are served through vectorized ``has_edge_batch`` calls (chunked
-  at ``batch_size``); a write op ends the run.  A churn stream with
-  2048-probe runs gets long batches, a mixed stream gets short ones —
-  the runner never reorders across a write, so verdicts are exactly
-  what a serial client would have seen.
-- **Maintenance mode is pluggable.**  With no tuner (or the tuner
-  recommending ``"hooks"``), writes go through the database facade and
-  the VEND index is maintained incrementally per edge.  When an
-  attached :class:`~repro.storage.tuning.AdaptiveTuner` recommends
-  ``"rebuild"`` (measured update rate above threshold), writes land
-  directly in storage and the index is re-encoded **once, before the
-  next probe run** — deferred batch maintenance that trades staleness
-  inside a write storm (where no probes execute anyway) for not paying
-  per-edge reconstruction costs.  Either way every probe sees a
-  correct index.
+Writes go through the database facade (``add_edge`` / ``remove_edge``),
+which maintains the VEND index and defers delete re-encodes to one
+batch before the next probe.
 """
 
 from __future__ import annotations
@@ -44,8 +36,6 @@ class RunResult:
     inserts: int = 0
     deletes: int = 0
     batches: int = 0
-    rebuilds: int = 0
-    tuner_ticks: int = 0
     elapsed: float = 0.0
     probe_elapsed: float = 0.0
     verdicts: np.ndarray = field(
@@ -63,29 +53,16 @@ class RunResult:
             np.packbits(self.verdicts).tobytes()).hexdigest()
 
 
-def run_stream(db, stream: WorkloadStream, batch_size: int = 4096,
-               tuner=None, tick_every: int = 4) -> RunResult:
-    """Execute ``stream`` against ``db`` and return the tally.
-
-    tuner:
-        Optional :class:`~repro.storage.tuning.AdaptiveTuner`.  It is
-        ticked every ``tick_every`` probe batches (0 = never) and its
-        ``maintenance_mode`` selects the write path as described in
-        the module docstring.
-    """
+def run_stream(db, stream: WorkloadStream,
+               batch_size: int = 4096) -> RunResult:
+    """Execute ``stream`` against ``db`` and return the tally."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     result = RunResult(stream=stream.name)
     verdict_chunks: list[np.ndarray] = []
-    index_stale = False
-    batches_since_tick = 0
     t0 = time.perf_counter()
     for kind, start, end in stream.segments():
         if kind == OP_PROBE:
-            if index_stale:
-                db.rebuild_index()
-                result.rebuilds += 1
-                index_stale = False
             p0 = time.perf_counter()
             for lo in range(start, end, batch_size):
                 hi = min(lo + batch_size, end)
@@ -95,41 +72,16 @@ def run_stream(db, stream: WorkloadStream, batch_size: int = 4096,
                 result.probes += hi - lo
                 result.positives += int(verdict_chunks[-1].sum())
                 result.batches += 1
-                batches_since_tick += 1
-                if (tuner is not None and tick_every
-                        and batches_since_tick >= tick_every):
-                    tuner.tick()
-                    result.tuner_ticks += 1
-                    batches_since_tick = 0
             result.probe_elapsed += time.perf_counter() - p0
             continue
-        rebuild_mode = (tuner is not None
-                        and tuner.maintenance_mode == "rebuild")
         for i in range(start, end):
             u, v = int(stream.us[i]), int(stream.vs[i])
             if kind == OP_INSERT:
-                if rebuild_mode:
-                    db.store.insert_edge(u, v)
-                    index_stale = True
-                else:
-                    db.add_edge(u, v)
+                db.add_edge(u, v)
                 result.inserts += 1
             elif kind == OP_DELETE:
-                if rebuild_mode:
-                    db.store.delete_edge(u, v)
-                    index_stale = True
-                else:
-                    db.remove_edge(u, v)
+                db.remove_edge(u, v)
                 result.deletes += 1
-        if tuner is not None and tick_every:
-            # A write storm moves the mutation counter; measure it
-            # promptly so the mode reflects the storm, not its echo.
-            tuner.tick()
-            result.tuner_ticks += 1
-            batches_since_tick = 0
-    if index_stale:
-        db.rebuild_index()
-        result.rebuilds += 1
     result.elapsed = time.perf_counter() - t0
     result.verdicts = (np.concatenate(verdict_chunks) if verdict_chunks
                        else np.zeros(0, dtype=bool))

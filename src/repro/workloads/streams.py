@@ -2,7 +2,7 @@
 
 The Section VII-B pair samplers (:mod:`~repro.workloads.pairs`) answer
 "which pairs", one batch at a time.  A *stream* answers the harder
-question a cache and its tuner face: which pairs, **in what order,
+question a cache faces: which pairs, **in what order,
 mixed with which writes, drifting how fast**.  Every generator here
 returns a :class:`WorkloadStream` — three parallel numpy arrays
 ``(kinds, us, vs)`` — and is deterministic in ``seed`` alone: numpy
@@ -156,7 +156,7 @@ def zipfian_stream(graph: Graph, n: int, skew: float = 1.0, seed: int = 0,
         Hot-set drift: after every ``rotate_every`` ops the rank
         permutation rolls by one ``burst_len``-independent step, so
         rank 0 moves to a new vertex — a time-varying graph workload
-        in the sense of the tuner's decay window.
+        in the sense of the admission sketch's decay window.
     """
     if burst_len < 1:
         raise ValueError("burst_len must be >= 1")
@@ -251,9 +251,8 @@ def churn_stream(graph: Graph, n: int, seed: int = 0, skew: float = 1.0,
     The stream cycles ``probe_len`` Zipfian probes then a ``storm_len``
     burst of writes (alternating inserts of fresh non-edges and
     deletes of live edges).  Each storm invalidates hot-cache entries
-    for the touched vertices and moves the mutation counter the tuner
-    watches — the workload that separates hooks from rebuild
-    maintenance.
+    for the touched vertices and queues index maintenance that the
+    next probe run must pay for.
     """
     if probe_len < 1 or storm_len < 1:
         raise ValueError("probe_len and storm_len must be >= 1")

@@ -121,6 +121,25 @@ class TestAdmission:
         assert sorted(k for k in hot_keys.tolist()) == sorted(
             [1, 2, 3, 4])
 
+    def test_hot_newcomer_displaces_cold_resident(self):
+        """A newcomer that does not fit evicts the coldest resident and
+        leaves the cache within its budget."""
+        rng = np.random.default_rng(7)
+        blob = _entry(rng, 16)  # 64 bytes
+        cache = HotSetCache(blob.nbytes * 4 + blob.nbytes // 2)
+        for k in range(1, 5):
+            assert cache.admit_one(k, blob.copy(), blob.nbytes)
+        for _ in range(50):
+            cache.observe(np.array([99], dtype=np.int64))
+        n = cache.admit(np.array([99]), blob.copy(),
+                        np.array([0]), np.array([blob.nbytes]),
+                        np.array([blob.nbytes]))
+        assert n == 1
+        assert cache.get(99) is not None
+        assert len(cache) == 4
+        assert cache.size_bytes <= cache.capacity_bytes
+        assert cache.stats.evictions > 0
+
     def test_readmission_of_cached_key_is_a_noop(self):
         cache = HotSetCache(1 << 16)
         blob = _entry(np.random.default_rng(4), 8)
@@ -169,15 +188,6 @@ class TestInvalidation:
         assert cache.stats.invalidations == 2
         assert len(cache) == 0 and cache.size_bytes == 0
         assert cache.membership_view() is None
-
-    def test_shrink_capacity_sheds_to_budget(self):
-        rng = np.random.default_rng(7)
-        cache = HotSetCache(1 << 16)
-        for k in range(16):
-            cache.admit_one(k, _entry(rng, 16), 64)
-        cache.set_capacity(256)
-        assert cache.size_bytes <= 256
-        assert cache.stats.evictions > 0
 
 
 def _sweep_reference(cache, us, vs):

@@ -157,31 +157,19 @@ class TestCrashSafePersistence:
         with pytest.raises(IndexFormatError, match="checksum"):
             load_index(path)
 
-    def test_v1_header_still_loads(self, tmp_path, graph):
-        from repro.core.persistence import _HEADER_CRC, _HEADER_PREFIX
-
-        original, path = self._saved(tmp_path, graph)
-        data = path.read_bytes()
-        fields = list(_HEADER_PREFIX.unpack_from(data))
-        fields[1] = 1  # rewrite the version field to v1
-        v1_data = (_HEADER_PREFIX.pack(*fields)
-                   + data[_HEADER_PREFIX.size + _HEADER_CRC.size:])
-        v1_path = tmp_path / "legacy.vend"
-        v1_path.write_bytes(v1_data)
-        restored = load_index(v1_path)
-        assert restored.k == original.k
-        assert restored.num_codes == original.num_codes
-        for u, v in list(all_pairs(graph))[:200]:
-            assert restored.is_nonedge(u, v) == original.is_nonedge(u, v)
-
     def test_future_version_rejected(self, tmp_path, graph):
+        """Versions other than the current one are refused, including
+        the retired unchecksummed v1 header."""
         from repro.core.persistence import _HEADER_PREFIX
 
         _, path = self._saved(tmp_path, graph)
-        data = bytearray(path.read_bytes())
-        fields = list(_HEADER_PREFIX.unpack_from(data))
-        fields[1] = 99
-        data[:_HEADER_PREFIX.size] = _HEADER_PREFIX.pack(*fields)
-        path.write_bytes(bytes(data))
-        with pytest.raises(IndexFormatError, match="unsupported version"):
-            load_index(path)
+        saved = path.read_bytes()
+        for version in (1, 99):
+            data = bytearray(saved)
+            fields = list(_HEADER_PREFIX.unpack_from(data))
+            fields[1] = version
+            data[:_HEADER_PREFIX.size] = _HEADER_PREFIX.pack(*fields)
+            path.write_bytes(bytes(data))
+            with pytest.raises(IndexFormatError,
+                               match=f"unsupported version {version}"):
+                load_index(path)

@@ -2,6 +2,7 @@
 
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from repro.storage import (
     InMemoryKVStore,
     LRUCache,
 )
-from repro.storage.kvstore import _FRAME, _HEADER_V1, _V1_TOMBSTONE, LOG_MAGIC
+from repro.storage.kvstore import _FRAME, LOG_MAGIC
 
 
 class _HugeValue(bytes):
@@ -485,80 +486,34 @@ class TestCrashRecovery:
             assert 7 not in store
 
 
-class TestV1Compatibility:
-    """Logs written by the pre-checksum format still replay."""
+class TestLogMagic:
+    """A log is recognized by its magic; nothing else is replayed."""
 
-    @staticmethod
-    def _v1_record(key, value):
-        return _HEADER_V1.pack(key, len(value)) + value
-
-    @staticmethod
-    def _v1_tombstone(key):
-        return _HEADER_V1.pack(key, _V1_TOMBSTONE)
-
-    def _write_v1_log(self, path):
-        path.write_bytes(
-            self._v1_record(1, b"aaaa")
-            + self._v1_record(2, b"bbbbbb")
-            + self._v1_tombstone(1)
-            + self._v1_record(3, b"cc")
-        )
-
-    def test_v1_log_replays(self, tmp_path):
-        path = tmp_path / "legacy.log"
-        self._write_v1_log(path)
+    def test_torn_magic_resets_to_checksummed_log(self, tmp_path, caplog):
+        """A crash during log creation can leave a prefix of the magic;
+        the reopened store must write checksummed frames after a fresh
+        magic, not adopt the file as some other format."""
+        path = tmp_path / "torn.log"
+        path.write_bytes(LOG_MAGIC[:3])
+        with caplog.at_level(logging.WARNING, logger="repro.storage.kvstore"):
+            with DiskKVStore(path) as store:
+                assert len(store) == 0
+                store.put(1, b"abc")
+        assert "torn log magic" in caplog.text
+        data = path.read_bytes()
+        assert data[:len(LOG_MAGIC)] == LOG_MAGIC
+        rtype, key, size, _crc = _FRAME.unpack_from(data, len(LOG_MAGIC))
+        assert (rtype, key, size) == (0x01, 1, 3)
         with DiskKVStore(path) as store:
-            assert store.format_version == 1
-            assert store.get(1) is None
-            assert store.get(2) == b"bbbbbb"
-            assert store.get(3) == b"cc"
+            assert store.get(1) == b"abc"
 
-    def test_v1_torn_tail_truncated(self, tmp_path):
-        path = tmp_path / "legacy.log"
-        self._write_v1_log(path)
-        full = path.read_bytes()
-        path.write_bytes(full[:-1])  # tear the final record
-        with DiskKVStore(path) as store:
-            assert store.get(2) == b"bbbbbb"
-            assert 3 not in store
-        assert path.stat().st_size == len(full) - len(self._v1_record(3, b"cc"))
-
-    def test_v1_header_only_tail_truncated(self, tmp_path):
-        """A v1 record whose length field says 1 GiB but whose payload
-        never hit the disk must not be indexed past EOF."""
-        path = tmp_path / "legacy.log"
-        self._write_v1_log(path)
-        with open(path, "ab") as raw:
-            raw.write(_HEADER_V1.pack(9, 1 << 30))
-        with DiskKVStore(path) as store:
-            assert 9 not in store
-            assert store.get(3) == b"cc"
-
-    def test_v1_log_keeps_appending_v1(self, tmp_path):
-        path = tmp_path / "legacy.log"
-        self._write_v1_log(path)
-        with DiskKVStore(path) as store:
-            store.put(4, b"dddd")
-            store.delete(2)
-        with DiskKVStore(path) as store:
-            assert store.format_version == 1
-            assert store.get(4) == b"dddd"
-            assert store.get(2) is None
-
-    def test_compact_upgrades_v1_to_v2(self, tmp_path):
-        path = tmp_path / "legacy.log"
-        self._write_v1_log(path)
-        with DiskKVStore(path) as store:
-            assert store.format_version == 1
-            store.compact()
-            assert store.format_version == 2
-            store.put(5, b"new-style")
-        assert path.read_bytes()[:len(LOG_MAGIC)] == LOG_MAGIC
-        with DiskKVStore(path) as store:
-            assert store.format_version == 2
-            assert store.get(2) == b"bbbbbb"
-            assert store.get(3) == b"cc"
-            assert store.get(5) == b"new-style"
+    @pytest.mark.parametrize("content", [b"RKX", b"not a key-value log"])
+    def test_file_without_magic_refused_untouched(self, tmp_path, content):
+        path = tmp_path / "foreign.log"
+        path.write_bytes(content)
+        with pytest.raises(CorruptRecordError, match=re.escape(str(path))):
+            DiskKVStore(path)
+        assert path.read_bytes() == content
 
 
 class TestAtomicCompaction:

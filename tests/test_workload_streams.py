@@ -1,6 +1,6 @@
 """Streaming workload generators: determinism, validity, execution.
 
-The streams exist to drive the hot cache and its tuner reproducibly,
+The streams exist to drive the hot cache and the benchmarks reproducibly,
 so the first-class property is *byte determinism*: the same seed must
 yield the identical stream on any run, process, and ``PYTHONHASHSEED``.
 The second is *validity*: churn/mixed writes must be applicable in
