@@ -32,6 +32,7 @@ from repro.apps import EdgeQueryEngine, ParallelEdgeQueryEngine
 from repro.bench import make_solution, results_dir
 from repro.graph import powerlaw_graph
 from repro.storage import GraphStore, ShardedGraphStore
+from repro.storage.kvstore import pack_in_order
 
 N_VERTICES = 100_000
 AVG_DEGREE = 8
@@ -93,7 +94,10 @@ def _install_pr1_read_path(store):
         return result
 
     kv.get_many = pr1_get_many
-    kv.get_many_packed = None  # force the dict fallback in probe_edges
+    # PR 1 had no packed read: probe_edges gets the dict multi-get's
+    # blobs joined in key order.
+    kv.get_many_packed = (lambda keys, receipt=None: pack_in_order(
+        keys, pr1_get_many(keys, receipt=receipt)))
     return store
 
 

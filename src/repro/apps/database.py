@@ -54,7 +54,8 @@ class VendGraphDB:
         Decoded-blob hot-cache budget (total, split per shard like
         ``cache_bytes``).  Stats-transparent — verdicts and counters
         are bitwise identical hot-on/off.  Requires a disk-backed
-        path; ignored for in-memory stores.
+        path, where it also requires ``cache_bytes=0`` (``ValueError``
+        otherwise); ignored for in-memory stores.
     shards, workers:
         ``shards > 1`` switches storage to a hash-partitioned
         :class:`~repro.storage.ShardedGraphStore` and the query path to

@@ -129,14 +129,9 @@ class EdgeQueryEngine:
             if count:
                 self.stats.inc("executed", count)
                 receipt = ReadReceipt()
-                # The blob-native probe (identical verdicts and booking,
-                # packed multi-get + bulk blob decode) is the batched
-                # hot path; stores without it keep the dict multi-get.
-                probe = getattr(self.store, "probe_edges", None)
-                if probe is None:
-                    probe = self.store.has_edge_many
-                exists = probe(us[survivors], vs[survivors],
-                               receipt=receipt)
+                exists = self.store.probe_edges(us[survivors],
+                                                vs[survivors],
+                                                receipt=receipt)
                 self.stats.inc("cache_served", receipt.cache_hits)
                 self.stats.inc("disk_served", receipt.disk_reads)
                 self.stats.inc("positives", int(exists.sum()))

@@ -49,7 +49,9 @@ failover instead of the serial path, plus the storage-tier switches
 ``$REPRO_COMPRESS``), ``--mmap`` (mmap-served packed reads, default
 ``$REPRO_MMAP``), and ``--hot-cache-bytes`` (default
 ``$REPRO_HOT_CACHE`` or 0) budgeting the shard-local decoded-blob hot
-cache (DESIGN.md §16).
+cache (DESIGN.md §16).  The hot cache needs the block cache off:
+``stats``, ``trace`` and ``bench`` exit with a usage error unless
+``--cache-bytes 0`` comes with it.
 """
 
 from __future__ import annotations
@@ -204,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=int(os.environ.get("REPRO_HOT_CACHE", "0")),
                          help="decoded-blob hot-cache budget, split across "
                               "shards (default: $REPRO_HOT_CACHE or 0 — "
-                              "disabled)")
+                              "disabled); needs --cache-bytes 0 where the "
+                              "command has a block cache")
 
     add_shard_args(audit)
 
@@ -836,7 +839,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    wants_hot = (getattr(args, "hot_cache_bytes", 0) > 0
+                 or getattr(args, "check_hot_speedup", None) is not None)
+    if wants_hot and getattr(args, "cache_bytes", 0) > 0:
+        # DiskKVStore refuses the pair (it would not stay
+        # stats-transparent); say so before any workload is built.
+        parser.error("the hot cache needs the block cache off: "
+                     "pass --cache-bytes 0")
     return _COMMANDS[args.command](args)
 
 

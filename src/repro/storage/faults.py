@@ -226,6 +226,15 @@ class FaultInjectingKVStore:
 
         return self._with_retries(attempt)
 
+    def get_many_packed(self, keys, receipt: ReadReceipt | None = None):
+        self._check_alive()
+
+        def attempt():
+            self._maybe_fail_read()
+            return self._inner.get_many_packed(keys, receipt=receipt)
+
+        return self._with_retries(attempt)
+
     # -- writes ------------------------------------------------------------
 
     def put(self, key: int, value: bytes) -> None:

@@ -185,46 +185,23 @@ class GraphStore:
             raise KeyError(f"vertex {u} is not stored")
         return _probe(blob, v)
 
-    def has_edge_many(self, us, vs,
-                      receipt: ReadReceipt | None = None) -> np.ndarray:
-        """Vectorized edge queries: grouped multi-get + one searchsorted.
-
-        Probe lists are grouped by left endpoint, each distinct
-        adjacency list is fetched once via :meth:`get_neighbors_many`,
-        and membership is answered with a single ``searchsorted`` over
-        the group-offset-shifted concatenation of those lists.
-        """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        if us.shape != vs.shape:
-            raise ValueError("endpoint arrays must be aligned")
-        if len(us) == 0:
-            return np.zeros(0, dtype=bool)
-        unique_us, group = np.unique(us, return_inverse=True)
-        adjacency = self.get_neighbors_many(unique_us.tolist(),
-                                            receipt=receipt)
-        arrays = [adjacency[int(u)] for u in unique_us]
-        lengths = np.asarray([len(a) for a in arrays], dtype=np.int64)
-        data = np.concatenate(arrays).view(np.uint8)
-        return membership_sweep(data, lengths, group, vs)
-
     def probe_edges(self, us, vs,
                     receipt: ReadReceipt | None = None) -> np.ndarray:
-        """Blob-native :meth:`has_edge_many`: identical verdicts, fewer
-        intermediates.
+        """Vectorized edge queries: ``out[j]`` is whether ``(us[j],
+        vs[j])`` is an edge.
 
-        The multi-get goes through the KV store's ``get_many_packed``
-        when it offers one: the distinct adjacency blobs come back as
-        one contiguous byte array plus a length vector, so everything
-        between the (coalesced, ``pread``-based) file reads and the
-        final searchsorted is a handful of whole-batch numpy kernels —
-        no per-record bytes objects, no dict of blobs, no
-        concatenation of thousands of tiny arrays.  This is the
+        Probes whose source vertex sits in the hot cache are answered
+        from its membership view.  The rest are grouped by left
+        endpoint and each distinct adjacency blob is fetched once
+        through the KV store's ``get_many_packed``: the blobs come back
+        as one contiguous byte array plus a length vector, and one
+        :func:`membership_sweep` answers every probe — a handful of
+        whole-batch numpy kernels between the (coalesced) reads and
+        the verdicts, no per-record bytes objects.  This is the
         per-shard hot path of the parallel query engine; pool threads
         spend their time in GIL-releasing C loops rather than Python
-        list plumbing.  Stores without the packed read (e.g. a
-        fault-injecting wrapper) fall back to :meth:`get_neighbors_many`
-        semantics with identical verdicts and stats.
+        list plumbing.  Raises ``KeyError`` naming source vertices that
+        are not stored.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
@@ -242,7 +219,7 @@ class GraphStore:
             if served is not None:
                 # Membership fast path: probes whose source vertex is
                 # cached are answered straight from the decoded
-                # snapshot — no dedup, no byte gather, no per-batch
+                # entries — no dedup, no byte gather, no per-batch
                 # sweep reconstruction.  Only the cold remainder walks
                 # the full fetch path below (which also handles
                 # admission and the missing-vertex KeyError).
@@ -262,32 +239,15 @@ class GraphStore:
                     receipt: ReadReceipt | None) -> np.ndarray:
         """The fetch-and-sweep half of :meth:`probe_edges`."""
         unique_us, group = np.unique(us, return_inverse=True)
-        packed = getattr(self._kv, "get_many_packed", None)
         with default_tracer().span("storage_multi_get"):
-            if packed is not None:
-                try:
-                    data, byte_lengths = packed(unique_us,
-                                                receipt=receipt)
-                except KeyError as exc:
-                    raise KeyError(
-                        f"vertices {sorted(exc.args[0])} are not stored"
-                    ) from None
-                lengths = byte_lengths // 4
-            else:
-                blobs = self._kv.get_many(unique_us.tolist(),
-                                          receipt=receipt)
-                missing = [v for v, blob in blobs.items() if blob is None]
-                if missing:
-                    raise KeyError(
-                        f"vertices {sorted(missing)} are not stored")
-                # dict preserves insertion order == unique_us order, so
-                # the joined buffer lines up with the group indices.
-                data = np.frombuffer(b"".join(blobs.values()),
-                                     dtype=np.uint8)
-                lengths = np.fromiter(
-                    (len(blob) for blob in blobs.values()),
-                    dtype=np.int64, count=len(blobs)) // 4
-        return membership_sweep(data, lengths, group, vs)
+            try:
+                data, byte_lengths = self._kv.get_many_packed(
+                    unique_us, receipt=receipt)
+            except KeyError as exc:
+                raise KeyError(
+                    f"vertices {sorted(exc.args[0])} are not stored"
+                ) from None
+        return membership_sweep(data, byte_lengths // 4, group, vs)
 
     # -- updates -------------------------------------------------------------
 

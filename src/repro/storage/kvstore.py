@@ -84,6 +84,7 @@ __all__ = [
     "LOG_MAGIC",
     "MAX_VALUE_BYTES",
     "assemble_packed",
+    "pack_in_order",
 ]
 
 logger = logging.getLogger(__name__)
@@ -220,6 +221,22 @@ def assemble_packed(src: np.ndarray, offs: np.ndarray, szs: np.ndarray,
             out[dest] = decoded
 
 
+def pack_in_order(keys, values: dict[int, bytes | None],
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(data, lengths)`` of ``values[key]`` for every key, in order.
+
+    The packed-read contract over a :meth:`DiskKVStore.get_many`-style
+    result dict: one contiguous ``uint8`` array plus per-key byte
+    counts.  Raises ``KeyError`` carrying the keys with no value.
+    """
+    blobs = [values[int(key)] for key in keys]
+    missing = [int(key) for key, blob in zip(keys, blobs) if blob is None]
+    if missing:
+        raise KeyError(missing)
+    lengths = np.fromiter(map(len, blobs), dtype=np.int64, count=len(blobs))
+    return np.frombuffer(b"".join(blobs), dtype=np.uint8), lengths
+
+
 class DiskKVStore:
     """Append-only log store with integer keys and bytes values.
 
@@ -255,12 +272,19 @@ class DiskKVStore:
         bitwise identical with the cache on or off — its effect shows
         up only as wall-clock speed and in its own ``repro_cache``
         series.  Entries are invalidated exactly on ``put``/``delete``
-        of their key and wholesale on ``compact``.
+        of their key and wholesale on ``compact``.  It cannot be
+        combined with a block cache (``ValueError``): a hot serve books
+        a disk read where the block cache would book a cache hit, so
+        the pair could not stay stats-transparent.
     """
 
     def __init__(self, path: str | Path, cache_bytes: int = 0,
                  verify_reads: bool = True, compress: bool = False,
                  use_mmap: bool = False, hot_cache_bytes: int = 0):
+        if cache_bytes > 0 and hot_cache_bytes > 0:
+            raise ValueError(
+                "the hot cache needs the block cache off: pass "
+                "cache_bytes=0 with hot_cache_bytes > 0")
         self.path = Path(path)
         self.stats = StorageStats()
         self.verify_reads = verify_reads
@@ -509,14 +533,11 @@ class DiskKVStore:
             if hot is not None:
                 value, stored = hot
                 # Stats-transparent: book the logical read the stored
-                # record would have cost (mmap-tier precedent), and
-                # fill the block cache exactly as the cold path would.
+                # record would have cost (mmap-tier precedent).
                 self.stats.inc("disk_reads")
                 self.stats.inc("bytes_read", stored)
                 if receipt is not None:
                     receipt.count_disk_read(stored)
-                if self._cache is not None:
-                    self._cache.put(key, value)
                 return value
         loc = self._index.get(key)
         if loc is None:
@@ -640,136 +661,47 @@ class DiskKVStore:
         every payload in **input key order**, plus the per-key payload
         byte counts.  Raises ``KeyError`` carrying the list of missing
         keys.  Callers pass already-deduplicated keys (the batched
-        probe does); repeated keys would each pay a lookup.
+        probe does); repeated keys would each pay a read.
 
         This is the batched-probe hot path.  :meth:`get_many` spends
         most of its time in per-record Python — one slice, one dict
         store, one bytes object per record — which at 10⁵ records per
-        batch dwarfs the actual I/O.  Here the per-record work drops to
-        the checksum validation loop; payload extraction from the
-        coalesced span buffers and reordering into key order are a
-        handful of whole-batch numpy gathers.  Stats and receipt
-        booking are identical to :meth:`get_many` over the same keys —
-        one cache hit/miss per key, one disk read per uncached stored
+        batch dwarfs the actual I/O.  Here the index lookup is one
+        ``searchsorted`` against the sorted ``_vindex`` mirror, and
+        payload extraction, decode and reordering into key order are a
+        handful of whole-batch numpy gathers with zero per-record
+        Python.  Records still carrying their first-touch checksum
+        (freshly appended this open) are verified in a small unbooked
+        pre-pass first, so a trickle of writes cannot slow whole probe
+        batches.  Stats and receipt booking are identical to
+        :meth:`get_many` over the same keys — one disk read per stored
         key — so engines using either path book the same totals.
 
-        Two tiers: with no block cache, the whole call is numpy (index
-        lookup via ``searchsorted`` against the sorted ``_vindex``
-        mirror) with zero per-record Python — records still carrying
-        their first-touch checksum (freshly appended this open) are
-        verified in a small unbooked pre-pass first, so a trickle of
-        writes cannot demote whole probe batches off the fast tier.
-        With a block cache, a per-record pass handles cache fills and
-        checksums together.
+        With a block cache the call is :meth:`get_many` packed in key
+        order by :func:`pack_in_order`, which keeps that method's cache
+        fills and one cache hit/miss per key.
         """
-        if self._cache is None:
-            vi = self._vindex
-            if vi is None:
-                vi = self._vindex = self._build_vindex()
-            karr = np.asarray(keys, dtype=np.int64)
-            vkeys, voffs, vszs, varmed, vrtypes, vrawszs = vi
-            if len(vkeys) == 0:
-                if len(karr):
-                    raise KeyError(sorted(set(karr.tolist())))
-                empty = np.zeros(0, dtype=np.int64)
-                return np.zeros(0, dtype=np.uint8), empty
-            pos = np.minimum(np.searchsorted(vkeys, karr), len(vkeys) - 1)
-            found = vkeys[pos] == karr
-            if not found.all():
-                raise KeyError(sorted(set(karr[~found].tolist())))
-            if self.verify_reads and bool(varmed[pos].any()):
-                # Disarms rewrite rows in place: ``pos`` stays valid.
-                self._verify_keys(karr[varmed[pos]])
-            return self._packed_vectorized(karr, voffs[pos], vszs[pos],
-                                           vrtypes[pos], vrawszs[pos],
-                                           receipt)
-        n = len(keys)
-        lengths_l = [0] * n
-        cached_parts: list[tuple[int, bytes]] = []
-        pending: list[tuple[int, int, int | None, int, int, int, int]] = []
-        missing: list[int] = []
-        cache_hits = cache_misses = 0
-        cache = self._cache
-        index_get = self._index.get
-        for pos, key in enumerate(keys):
-            key = int(key)
-            if cache is not None:
-                cached = cache.get(key)
-                if cached is not None:
-                    cache_hits += 1
-                    cached_parts.append((pos, cached))
-                    lengths_l[pos] = len(cached)
-                    continue
-                cache_misses += 1
-            loc = index_get(key)
-            if loc is None:
-                missing.append(key)
-                continue
-            pending.append((*loc, key, pos))
-            lengths_l[pos] = loc[4]
-        if cache_hits:
-            self.stats.inc("cache_hits", cache_hits)
-        if cache_misses:
-            self.stats.inc("cache_misses", cache_misses)
-        if receipt is not None:
-            receipt.count_cache_hits(cache_hits)
-        if missing:
-            raise KeyError(missing)
-        lengths = np.asarray(lengths_l, dtype=np.int64)
-        starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        out = np.zeros(int(lengths.sum()), dtype=np.uint8)
-        if pending:
-            pending.sort(key=operator.itemgetter(0))
-            if self._pending_flush:
-                self._file.flush()
-                self._pending_flush = False
-            offs = np.asarray([item[0] for item in pending], dtype=np.int64)
-            szs = np.asarray([item[1] for item in pending], dtype=np.int64)
-            rtypes = np.asarray([item[3] for item in pending], dtype=np.int64)
-            rawszs = np.asarray([item[4] for item in pending], dtype=np.int64)
-            slots = starts[np.asarray([item[6] for item in pending],
-                                      dtype=np.int64)]
-            ends = offs + szs
-            spans = self._spans_of(offs, ends)
-            src, src_offs = self._gather_spans(offs, szs, ends, spans,
-                                               receipt)
-            verify = self.verify_reads
-            if verify:
-                # Validation stays per record (each has its own stored
-                # crc) but runs flat — at 10^5 records per batch even
-                # one extra call per record is visible.
-                crc32 = zlib.crc32
-                prefix_pack = _CRC_PREFIX.pack
-                index = self._index
-                for i, item in enumerate(pending):
-                    offset, size, crc, rtype, raw_size, key, _pos = item
-                    if crc is None:
-                        continue
-                    rel = int(src_offs[i])
-                    if crc32(src[rel:rel + size],
-                             crc32(prefix_pack(rtype, key, size))) != crc:
-                        self.stats.inc("checksum_failures")
-                        raise CorruptRecordError(
-                            f"key {key}: checksum mismatch at "
-                            f"offset {offset}"
-                        )
-                    # Verify-once-per-open, as _validate_record.
-                    loc = (offset, size, None, rtype, raw_size)
-                    index[key] = loc
-                    self._set_vindex_row(key, loc)
-            # One scatter (raw) plus one bulk decode pass (compressed)
-            # places every record read above into its key-order slot.
-            assemble_packed(src, src_offs, szs, rtypes, rawszs, out, slots)
-            if cache is not None:
-                for i, item in enumerate(pending):
-                    start = int(slots[i])
-                    cache.put(item[5], out[start:start + item[4]].tobytes())
-        for pos, blob in cached_parts:
-            start = starts[pos]
-            out[start:start + len(blob)] = np.frombuffer(blob,
-                                                         dtype=np.uint8)
-        return out, lengths
+        if self._cache is not None:
+            return pack_in_order(keys, self.get_many(keys, receipt=receipt))
+        vi = self._vindex
+        if vi is None:
+            vi = self._vindex = self._build_vindex()
+        karr = np.asarray(keys, dtype=np.int64)
+        vkeys, voffs, vszs, varmed, vrtypes, vrawszs = vi
+        if len(vkeys) == 0:
+            if len(karr):
+                raise KeyError(sorted(set(karr.tolist())))
+            empty = np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=np.uint8), empty
+        pos = np.minimum(np.searchsorted(vkeys, karr), len(vkeys) - 1)
+        found = vkeys[pos] == karr
+        if not found.all():
+            raise KeyError(sorted(set(karr[~found].tolist())))
+        if self.verify_reads and bool(varmed[pos].any()):
+            # Disarms rewrite rows in place: ``pos`` stays valid.
+            self._verify_keys(karr[varmed[pos]])
+        return self._packed_vectorized(karr, voffs[pos], vszs[pos],
+                                       vrtypes[pos], vrawszs[pos], receipt)
 
     def book_hot_serves(self, count: int, stored_bytes: int,
                         receipt: ReadReceipt | None = None) -> None:
@@ -780,7 +712,7 @@ class DiskKVStore:
         distinct records' worth of probes without touching this store;
         booking the reads those records would have cost keeps the
         storage counters bitwise identical with the cache off — the
-        same stats-transparency contract the packed hit path keeps.
+        same stats-transparency contract the mmap tier keeps.
         """
         self.stats.inc("disk_reads", count)
         self.stats.inc("bytes_read", stored_bytes)
@@ -850,11 +782,9 @@ class DiskKVStore:
         — a handful of positional reads per batch into one
         preallocated buffer.
 
-        The hot cache slots in above both: hits are served straight
-        from cached decodes (one searchsorted + one gather, booking
-        the same logical reads the stored records would have cost),
-        only the cold remainder touches the log, and that remainder's
-        decoded bytes are offered back for admission.
+        With a hot cache, the assembled records are offered to it for
+        admission afterwards; serving happens above this store, in the
+        cache's membership view (``graphstore.probe_edges``).
         """
         n = len(offs_u)
         lengths = rawszs_u
@@ -866,47 +796,6 @@ class DiskKVStore:
         if self._pending_flush:
             self._file.flush()
             self._pending_flush = False
-        hot = self._hot
-        if hot is not None:
-            served = hot.fill_hits(keys_u, rawszs_u, out, starts)
-            if served is not None:
-                hit, stored = served
-                n_hits = int(hit.sum())
-                if n_hits:
-                    # Stats-transparent booking: a hit costs what the
-                    # stored record's read would (mmap-tier precedent).
-                    self.stats.inc("disk_reads", n_hits)
-                    self.stats.inc("bytes_read", stored)
-                    if receipt is not None:
-                        receipt.count_disk_reads(n_hits, stored)
-                    if n_hits == n:
-                        return out, lengths
-                    cold = np.flatnonzero(~hit)
-                    self._cold_assemble(offs_u[cold], szs_u[cold],
-                                        rtypes_u[cold], rawszs_u[cold],
-                                        out, starts[cold], receipt)
-                    hot.admit(keys_u[cold], out, starts[cold],
-                              rawszs_u[cold], szs_u[cold])
-                    return out, lengths
-            self._cold_assemble(offs_u, szs_u, rtypes_u, rawszs_u,
-                                out, starts, receipt)
-            hot.admit(keys_u, out, starts, rawszs_u, szs_u)
-            return out, lengths
-        self._cold_assemble(offs_u, szs_u, rtypes_u, rawszs_u,
-                            out, starts, receipt)
-        return out, lengths
-
-    def _cold_assemble(self, offs_u: np.ndarray, szs_u: np.ndarray,
-                       rtypes_u: np.ndarray, rawszs_u: np.ndarray,
-                       out: np.ndarray, slots: np.ndarray,
-                       receipt: ReadReceipt | None) -> None:
-        """Read + decode records from the log into ``out`` at ``slots``.
-
-        The storage-touching half of :meth:`_packed_vectorized`: one
-        mmap gather when the map is live, coalesced positional reads
-        otherwise, with identical logical booking either way.
-        """
-        n = len(offs_u)
         view = self._mmap_view(int((offs_u + szs_u).max()))
         if view is not None:
             # Page-cache path: no read syscalls, no staging buffer —
@@ -920,27 +809,31 @@ class DiskKVStore:
             if receipt is not None:
                 receipt.count_disk_reads(n, total_stored)
             assemble_packed(view, offs_u, szs_u, rtypes_u, rawszs_u,
-                            out, slots)
-            return
-        if n > 1 and bool((offs_u[1:] >= offs_u[:-1]).all()):
-            # Sorted-key requests against a sequentially written log
-            # (post bulk_load/compact) arrive offset-sorted already;
-            # one comparison pass beats an argsort every batch.
-            order = None
-            offs, szs = offs_u, szs_u
+                            out, starts)
         else:
-            order = np.argsort(offs_u, kind="stable")
-            offs = offs_u[order]
-            szs = szs_u[order]
-        ends = offs + szs
-        spans = self._spans_of(offs, ends)
-        src, src_offs = self._gather_spans(offs, szs, ends, spans, receipt)
-        if order is None:
-            assemble_packed(src, src_offs, szs, rtypes_u, rawszs_u,
-                            out, slots)
-        else:
-            assemble_packed(src, src_offs, szs, rtypes_u[order],
-                            rawszs_u[order], out, slots[order])
+            if n > 1 and bool((offs_u[1:] >= offs_u[:-1]).all()):
+                # Sorted-key requests against a sequentially written log
+                # (post bulk_load/compact) arrive offset-sorted already;
+                # one comparison pass beats an argsort every batch.
+                order = None
+                offs, szs = offs_u, szs_u
+            else:
+                order = np.argsort(offs_u, kind="stable")
+                offs = offs_u[order]
+                szs = szs_u[order]
+            ends = offs + szs
+            spans = self._spans_of(offs, ends)
+            src, src_offs = self._gather_spans(offs, szs, ends, spans,
+                                               receipt)
+            if order is None:
+                assemble_packed(src, src_offs, szs, rtypes_u, rawszs_u,
+                                out, starts)
+            else:
+                assemble_packed(src, src_offs, szs, rtypes_u[order],
+                                rawszs_u[order], out, starts[order])
+        if self._hot is not None:
+            self._hot.admit(keys_u, out, starts, rawszs_u, szs_u)
+        return out, lengths
 
     def _gather_spans(self, offs: np.ndarray, szs: np.ndarray,
                       ends: np.ndarray, spans: list[tuple[int, int]],
@@ -1237,12 +1130,12 @@ class InMemoryKVStore:
     store, so cache-statistics tests have backend parity.
     """
 
-    def __init__(self, cache_bytes: int = 0, hot_cache_bytes: int = 0):
+    def __init__(self, cache_bytes: int = 0):
         self.stats = StorageStats()
         self._data: dict[int, bytes] = {}
         self._cache = LRUCache(cache_bytes) if cache_bytes > 0 else None
-        # Accepted for constructor parity; a dict store's values are
-        # already decoded in memory, so there is nothing to hot-cache.
+        # A dict store's values are already decoded in memory, so there
+        # is nothing to hot-cache.
         self.hot_cache = None
 
     def __len__(self) -> int:
@@ -1299,23 +1192,10 @@ class InMemoryKVStore:
         """Concatenated payloads in key order (disk-store parity).
 
         Same contract and booking as
-        :meth:`DiskKVStore.get_many_packed`; raises ``KeyError``
-        carrying the missing-key list.
+        :meth:`DiskKVStore.get_many_packed` with a block cache; raises
+        ``KeyError`` carrying the missing-key list.
         """
-        blobs: list[bytes] = []
-        missing: list[int] = []
-        for key in keys:
-            value = self.get(int(key), receipt=receipt)
-            if value is None:
-                missing.append(int(key))
-            else:
-                blobs.append(value)
-        if missing:
-            raise KeyError(missing)
-        lengths = np.fromiter((len(blob) for blob in blobs),
-                              dtype=np.int64, count=len(blobs))
-        data = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-        return data, lengths
+        return pack_in_order(keys, self.get_many(keys, receipt=receipt))
 
     def delete(self, key: int) -> bool:
         if key in self._data:

@@ -1,7 +1,7 @@
 """Batch-pipeline equivalence: every vectorized path ≡ its scalar twin.
 
 The batched NDF (`is_nonedge_batch`), the batched storage reads
-(`get_many`, `get_neighbors_many`, `has_edge_many`) and the batched
+(`get_many`, `get_neighbors_many`, `probe_edges`) and the batched
 engine (`run_batch`) are pure execution-strategy changes — these tests
 pin them to the scalar reference answers on random graphs, including
 unknown vertices, self-pairs and both call forms.
@@ -132,6 +132,7 @@ class TestBatchStorage:
         store.close()
 
     def test_has_edge_many_matches_scalar(self, tmp_path):
+        """The batched probe answers every pair like scalar has_edge."""
         graph, store = self.make_store(tmp_path)
         rng = np.random.default_rng(31)
         vertices = sorted(graph.vertices())
@@ -141,14 +142,14 @@ class TestBatchStorage:
         vs[rng.random(300) < 0.05] = -1                # out-of-range probe
         vs[rng.random(300) < 0.05] = 2**32 + 5         # beyond uint32
         scalar = [store.has_edge(int(u), int(v)) for u, v in zip(us, vs)]
-        assert store.has_edge_many(us, vs).tolist() == scalar
-        assert store.has_edge_many([], []).tolist() == []
+        assert store.probe_edges(us, vs).tolist() == scalar
+        assert store.probe_edges([], []).tolist() == []
         store.close()
 
     def test_has_edge_many_raises_on_unknown_source(self, tmp_path):
         _, store = self.make_store(tmp_path)
         with pytest.raises(KeyError):
-            store.has_edge_many([999_999], [1])
+            store.probe_edges([999_999], [1])
         store.close()
 
     def test_get_many_second_pass_served_by_cache(self, tmp_path):
