@@ -28,8 +28,8 @@ from ..core import HybPlusVend, HybridVend, IdCapacityError
 from ..core.hybrid import HybridVend as _HybridBase
 from ..graph import Graph
 from ..obs import DatabaseStats, ReadReceipt
-from ..storage import GraphStore, ShardedGraphStore, StorageStats
-from .edge_query import EdgeQueryEngine, ParallelEdgeQueryEngine, QueryStats
+from ..storage import ShardedGraphStore, StorageStats
+from .edge_query import ParallelEdgeQueryEngine, QueryStats
 
 __all__ = ["VendGraphDB"]
 
@@ -42,14 +42,14 @@ class VendGraphDB:
     Parameters
     ----------
     path:
-        Backing file for the adjacency log (None = in-memory, tests).
-        With ``shards > 1`` this becomes the base path of the segment
-        files (``<path>.shard<N>``).
+        Base path of the segment logs (``<path>.shard<N>``), or None for
+        in-memory segments (tests).  A regular file at ``path`` itself
+        is refused (see :class:`~repro.storage.ShardedGraphStore`).
     k, method:
         VEND configuration (``"hybrid"`` or ``"hyb+"``).
     cache_bytes:
         Block-cache size for the store — the total budget, split across
-        the shard-local caches when sharded.
+        the shard-local caches.
     hot_cache_bytes:
         Decoded-blob hot-cache budget (total, split per shard like
         ``cache_bytes``).  Stats-transparent — verdicts and counters
@@ -57,12 +57,11 @@ class VendGraphDB:
         path, where it also requires ``cache_bytes=0`` (``ValueError``
         otherwise); ignored for in-memory stores.
     shards, workers:
-        ``shards > 1`` switches storage to a hash-partitioned
-        :class:`~repro.storage.ShardedGraphStore` and the query path to
-        the thread-pool :class:`ParallelEdgeQueryEngine` with
-        ``workers`` threads (default: one per shard).  The default
-        ``shards=1`` keeps the original single-file store and serial
-        engine, byte-for-byte.
+        Storage is always a hash-partitioned
+        :class:`~repro.storage.ShardedGraphStore` of ``shards`` segments
+        (default 1), queried through the thread-pool
+        :class:`ParallelEdgeQueryEngine` with ``workers`` threads
+        (default: one per shard).
     compress, use_mmap:
         Storage-tier switches, forwarded to every segment: ``compress``
         stores adjacency blobs as StreamVByte v3 records, ``use_mmap``
@@ -72,10 +71,9 @@ class VendGraphDB:
         work out to a thread pool.  The keyword is kept for callers
         that still pass it.
     replicas:
-        Replica copies per shard (forces the sharded store even at
-        ``shards=1``).  Writes reach every copy synchronously; reads
-        fail over when a copy's backing store degrades, and
-        :meth:`reset_degraded` repairs and reinstates.
+        Replica copies per shard.  Writes reach every copy
+        synchronously; reads fail over when a copy's backing store
+        degrades, and :meth:`reset_degraded` repairs and reinstates.
 
     ::
 
@@ -101,20 +99,13 @@ class VendGraphDB:
             raise ValueError(
                 f"executor must be 'thread', got {executor!r}")
         self.vend: _HybridBase = _METHODS[method](k=k, id_bits=id_bits)
-        if shards > 1 or replicas > 0:
-            self.store = ShardedGraphStore(path, num_shards=shards,
-                                           cache_bytes=cache_bytes,
-                                           compress=compress,
-                                           use_mmap=use_mmap,
-                                           replicas=replicas,
-                                           hot_cache_bytes=hot_cache_bytes)
-            self._engine = ParallelEdgeQueryEngine(self.store, self.vend,
-                                                   workers=workers)
-        else:
-            self.store = GraphStore(path, cache_bytes=cache_bytes,
-                                    compress=compress, use_mmap=use_mmap,
-                                    hot_cache_bytes=hot_cache_bytes)
-            self._engine = EdgeQueryEngine(self.store, self.vend)
+        self.store = ShardedGraphStore(path, num_shards=shards,
+                                       cache_bytes=cache_bytes,
+                                       compress=compress, use_mmap=use_mmap,
+                                       replicas=replicas,
+                                       hot_cache_bytes=hot_cache_bytes)
+        self._engine = ParallelEdgeQueryEngine(self.store, self.vend,
+                                               workers=workers)
         self.db_stats = DatabaseStats()
         self._built = False
         # Core vertices whose codes await a complete re-encode.
@@ -122,13 +113,13 @@ class VendGraphDB:
 
     @property
     def num_shards(self) -> int:
-        """Storage segment count (1 = unsharded legacy layout)."""
-        return getattr(self.store, "num_shards", 1)
+        """Storage segment count."""
+        return self.store.num_shards
 
     @property
     def replicas(self) -> int:
         """Replica copies per shard (0 = unreplicated)."""
-        return getattr(self.store, "num_replicas", 0)
+        return self.store.num_replicas
 
     def _fetch_for_maintenance(self, v: int) -> list[int]:
         """Adjacency fetch booked to maintenance, not any query engine.
@@ -284,15 +275,9 @@ class VendGraphDB:
         interleave between chunks), and the final flip lands only
         after a durable flush of the new layout.  The VEND index is
         untouched — the router decides placement, never encoding.
-
-        Requires sharded storage (``shards>1``, ``replicas>0``, or an
-        explicit reshard target from such a config).
+        Any layout reshards, the default one-segment store included.
         """
-        begin = getattr(self.store, "begin_reshard", None)
-        if begin is None:
-            raise ValueError("reshard() requires sharded storage "
-                             "(construct with shards>1 or replicas>0)")
-        begin(num_shards, path=path)
+        self.store.begin_reshard(num_shards, path=path)
         while self.store.migrate_step(batch):
             pass
         self.store.finish_reshard()
@@ -305,9 +290,7 @@ class VendGraphDB:
         returns, :attr:`degraded` is False unless a backing store is
         *still* failing.
         """
-        reset = getattr(self.store, "reset_degraded", None)
-        if reset is not None:
-            reset()
+        self.store.reset_degraded()
 
     # -- stats / lifecycle ----------------------------------------------------------
 
@@ -318,12 +301,12 @@ class VendGraphDB:
 
     @property
     def shard_query_stats(self) -> list[QueryStats]:
-        """Per-shard query ledgers; empty when the store is unsharded.
+        """Per-shard query ledgers, one per segment.
 
         Each entry is labeled ``shard="<i>"`` and sums with its peers
         to exactly the :attr:`query_stats` totals.
         """
-        return list(getattr(self._engine, "shard_stats", []))
+        return list(self._engine.shard_stats)
 
     @property
     def index_rebuilds(self) -> int:
@@ -351,19 +334,13 @@ class VendGraphDB:
         Benchmarks and traces read hit rates and resident bytes
         through this.
         """
-        caches = getattr(self.store, "hot_caches", None)
-        if caches is not None:
-            return caches()
-        one = getattr(self.store, "hot_cache", None)
-        return [one] if one is not None else []
+        return self.store.hot_caches()
 
     def index_memory_bytes(self) -> int:
         return self.vend.memory_bytes()
 
     def close(self) -> None:
-        closer = getattr(self._engine, "close", None)
-        if closer is not None:
-            closer()
+        self._engine.close()
         self.store.close()
 
     def __enter__(self) -> "VendGraphDB":

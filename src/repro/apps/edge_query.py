@@ -28,7 +28,6 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -202,7 +201,7 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
         )
         self._book_lock = wrap_lock(threading.Lock(),
                                     "ParallelEdgeQueryEngine._book_lock")
-        self._store_generation = getattr(store, "generation", 0)  # guarded-by: self._book_lock
+        self._store_generation = store.generation  # guarded-by: self._book_lock
         self.shard_stats = self._build_shard_stats()  # guarded-by: self._book_lock
 
     def _build_shard_stats(self) -> list[QueryStats]:
@@ -210,13 +209,6 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
             QueryStats(store=segment, scope=self.stats.scope, shard=str(i))
             for i, segment in enumerate(self.store.segments)
         ]
-
-    def _read_guard(self):
-        """The store's shared-side mutation guard (no-op for stores
-        without one).  Held across a whole batch so a mutation or a
-        reshard generation flip can never land mid-merge."""
-        guard = getattr(self.store, "read_guard", None)
-        return guard() if guard is not None else nullcontext()
 
     def _sync_generation(self) -> None:
         """Refresh per-shard bookkeeping after a topology change.
@@ -229,7 +221,7 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
         ``i`` of the new layout continues the series of shard ``i`` of
         the old one — aggregate totals are unaffected.
         """
-        generation = getattr(self.store, "generation", 0)
+        generation = self.store.generation
         if generation == self._store_generation:
             return
         with self._book_lock:
@@ -243,7 +235,7 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
         tracer = default_tracer()
         start = time.perf_counter()
         try:
-            with self._read_guard():
+            with self.store.read_guard():
                 self._sync_generation()
                 return self._has_edge_guarded(tracer, u, v)
         finally:
@@ -310,7 +302,7 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
             # mutation or reshard flip cannot move a vertex between the
             # routing decision and the per-segment probe.  Pool tasks
             # rely on the coordinator's hold; they take no locks.
-            with self._read_guard():
+            with self.store.read_guard():
                 self._sync_generation()
                 slices = list(shard_slices(self.store.router, us, vs))
                 futures = [

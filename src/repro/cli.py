@@ -23,8 +23,8 @@ Commands cover the basic operational loop of a VEND deployment:
   metric families whose name starts with ``PREFIX``;
 - ``trace`` — the same workload with the span tracer enabled,
   printing the ``query → ndf_filter → storage_get → cache`` trees;
-- ``bench`` — batched-query throughput, serial single-file engine vs
-  the shard-parallel engine, with ``--check-speedup`` as a CI gate;
+- ``bench`` — batched-query throughput, a one-segment store vs an
+  S-segment store, with ``--check-speedup`` as a CI gate;
   ``--workload`` selects the probe mix (``random``/``edges`` pair
   batches, or the streaming ``zipfian``/``churn``/``mixed`` kinds from
   :mod:`repro.workloads`), and ``--check-hot-speedup`` gates the
@@ -43,9 +43,9 @@ Commands cover the basic operational loop of a VEND deployment:
 ``stats``, ``trace``, ``audit`` and ``bench`` accept
 ``--shards``/``--workers``/``--replicas`` (defaults: the
 ``REPRO_SHARDS``/``REPRO_WORKERS``/``REPRO_REPLICAS`` env vars) to
-exercise the hash-partitioned store, thread-pool engine, and replica
-failover instead of the serial path, plus the storage-tier switches
-``--compress`` (StreamVByte v3 adjacency records, default
+set the segment count, pool threads and replica copies of the
+hash-partitioned store every database runs on, plus the storage-tier
+switches ``--compress`` (StreamVByte v3 adjacency records, default
 ``$REPRO_COMPRESS``), ``--mmap`` (mmap-served packed reads, default
 ``$REPRO_MMAP``), and ``--hot-cache-bytes`` (default
 ``$REPRO_HOT_CACHE`` or 0) budgeting the shard-local decoded-blob hot
@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_shard_args(sub) -> None:
         sub.add_argument("--shards", type=int,
                          default=int(os.environ.get("REPRO_SHARDS", "1")),
-                         help="storage segments (>1 enables the parallel "
-                              "engine; default: $REPRO_SHARDS or 1)")
+                         help="storage segments (default: $REPRO_SHARDS "
+                              "or 1)")
         sub.add_argument("--workers", type=int,
                          default=int(os.environ.get("REPRO_WORKERS", "0"))
                          or None,
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of most recent root traces to print")
 
     bench = commands.add_parser(
-        "bench", help="batched-query throughput: serial vs shard-parallel"
+        "bench", help="batched-query throughput: one segment vs S segments"
     )
     bench.add_argument("--vertices", type=int, default=2000)
     bench.add_argument("--avg-degree", type=float, default=8.0)
@@ -282,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_shard_args(bench)
     bench.add_argument("--check-speedup", type=float, default=None,
                        metavar="X",
-                       help="exit 1 unless sharded throughput >= X * serial "
-                            "(the CI smoke gate)")
+                       help="exit 1 unless sharded throughput >= X * the "
+                            "one-segment store's (the CI smoke gate)")
     bench.add_argument("--check-hot-speedup", type=float, default=None,
                        metavar="X",
                        help="exit 1 unless the sharded config with the hot "
@@ -684,7 +684,7 @@ def _cmd_bench(args) -> int:
                              cache_bytes=args.cache_bytes,
                              shards=shards, workers=workers,
                              compress=args.compress, use_mmap=args.mmap,
-                             replicas=(args.replicas if shards > 1 else 0),
+                             replicas=args.replicas,
                              hot_cache_bytes=hot)
             db.load_graph(graph)
             if probe_only:
@@ -712,11 +712,11 @@ def _cmd_bench(args) -> int:
           f"workload={stream.name} ops={len(stream)} probes={probes} "
           f"seed={args.seed} compress={args.compress} mmap={args.mmap} "
           f"hot={args.hot_cache_bytes}")
-    serial = throughput(1, None)
-    print(f"serial              : {serial:>12.0f} pairs/s")
+    one_segment = throughput(1, None)
+    print(f"sharded s=1 w=1     : {one_segment:>12.0f} pairs/s")
     shards = max(args.shards, 2)
     sharded = throughput(shards, args.workers)
-    speedup = sharded / serial
+    speedup = sharded / one_segment
     print(f"sharded s={shards} w={args.workers or shards}     : "
           f"{sharded:>12.0f} pairs/s  ({speedup:.2f}x)")
     failed = False

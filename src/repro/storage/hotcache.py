@@ -38,7 +38,7 @@ Invalidation protocol (generation-keyed, DESIGN.md §16):
   current membership view stale; the next probe rebuilds it.
 - **Reshard**: new-generation segments get fresh KV stores and
   therefore fresh caches; the budget is inherited with the rest of the
-  segment config (``_INHERIT`` in ``sharding.py``).
+  segment config (``ShardedGraphStore.begin_reshard``).
 
 Booking is **stats-transparent**: a hot hit books the same logical
 ``disk_reads``/``bytes_read`` a real read of the stored record would

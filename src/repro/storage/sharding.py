@@ -31,8 +31,9 @@ make that concrete here:
   generation stays write-complete, migrated vertices are served from
   their new placement); :meth:`finish_reshard` flushes the new
   generation durably (``sync=True``) and atomically flips the router.
-  ``reshard()`` remains the offline full-rewrite path, now inheriting
-  the source store's configuration.
+  It is the one reshard path: ``begin_reshard(S′, path=…)`` relocates
+  the new generation to another base path, and every new segment
+  inherits the store's configuration.
 
 Per-segment isolation is what makes thread-pool execution safe and
 attribution exact: pool tasks touch disjoint segment files, disjoint
@@ -72,10 +73,6 @@ _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
 _GOLDEN = 0x9E3779B97F4A7C15
 
-#: Sentinel for "inherit this knob from the source store" (reshard).
-_INHERIT = object()
-
-
 def _mix64(x: int) -> int:
     """splitmix64 finalizer: the scalar reference mixer.
 
@@ -86,6 +83,15 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _C1) & _MASK64
     x = ((x ^ (x >> 27)) * _C2) & _MASK64
     return x ^ (x >> 31)
+
+
+def _partition(shards: np.ndarray, num_shards: int) -> list[np.ndarray]:
+    """Index arrays grouping positions by shard id, input-stable."""
+    if num_shards == 1:
+        return [np.arange(len(shards), dtype=np.int64)]
+    order = np.argsort(shards, kind="stable")
+    counts = np.bincount(shards, minlength=num_shards)
+    return np.split(order, np.cumsum(counts)[:-1])
 
 
 class ShardRouter:
@@ -122,12 +128,7 @@ class ShardRouter:
         ``s``, in their original order — the merge step only needs
         ``answers[idx] = shard_answers`` to restore input order.
         """
-        shards = self.shard_of_array(ids)
-        if self.num_shards == 1:
-            return [np.arange(len(shards), dtype=np.int64)]
-        order = np.argsort(shards, kind="stable")
-        counts = np.bincount(shards, minlength=self.num_shards)
-        return np.split(order, np.cumsum(counts)[:-1])
+        return _partition(self.shard_of_array(ids), self.num_shards)
 
 
 class _MigrationRouter:
@@ -167,10 +168,7 @@ class _MigrationRouter:
         return shards
 
     def partition(self, ids) -> list[np.ndarray]:
-        shards = self.shard_of_array(ids)
-        order = np.argsort(shards, kind="stable")
-        counts = np.bincount(shards, minlength=self.num_shards)
-        return np.split(order, np.cumsum(counts)[:-1])
+        return _partition(self.shard_of_array(ids), self.num_shards)
 
 
 class _RWLock:
@@ -350,13 +348,16 @@ class ShardedGraphStore:
     path:
         Base path for the segment logs (``<path>.shard<N>``; replicas
         add ``.r<J>``, later generations ``<path>.g<G>.shard<N>``), or
-        None for in-memory segments (tests).
+        None for in-memory segments (tests).  A regular file at
+        ``path`` itself is a log of the retired single-file layout and
+        is refused with ``ValueError``, left untouched: rename it to
+        ``<path>.shard0`` to open it as a one-segment store.
     num_shards:
-        Segment count.  1 is legal and behaves like a plain store.
+        Segment count (1 is a one-segment store).
     cache_bytes:
         **Total** block-cache budget, split evenly across the
         shard-local caches so memory use matches a same-budget
-        unsharded store.  Each replica copy carries its shard's budget.
+        one-segment store.  Each replica copy carries its shard's budget.
     kv_factory:
         Optional ``(segment_path, shard) -> kv store`` hook.  This is
         the per-shard fault-injection passthrough: wrap any segment in
@@ -383,6 +384,11 @@ class ShardedGraphStore:
                  replicas: int = 0, hot_cache_bytes: int = 0):
         if replicas < 0:
             raise ValueError("replicas must be >= 0")
+        if path is not None and Path(path).is_file():
+            raise ValueError(
+                f"{path} is a single-file adjacency log; rename it to "
+                f"{self.segment_path(path, 0)} to open it as a "
+                f"one-segment store")
         self._lock = _RWLock(name="ShardedGraphStore._lock")
         self._router = ShardRouter(num_shards)  # guarded-by: self._lock
         self._path = path  # guarded-by: self._lock
@@ -729,53 +735,6 @@ class ShardedGraphStore:
 
     # -- resharding --------------------------------------------------------
 
-    def reshard(self, num_shards: int, path: str | Path | None = None,
-                cache_bytes=_INHERIT, kv_factory=_INHERIT,
-                compress=_INHERIT, use_mmap=_INHERIT,
-                replicas=_INHERIT,
-                hot_cache_bytes=_INHERIT) -> "ShardedGraphStore":
-        """Offline reshard: migrate every record into a new S′-shard store.
-
-        Rows move between segments but are never rewritten: resharding
-        S → S′ preserves every (vertex → adjacency) pair exactly, and
-        the in-memory codes are untouched because the router only
-        decides *placement*, never encoding.
-
-        Storage configuration — ``compress``, ``use_mmap``,
-        ``cache_bytes``, ``hot_cache_bytes``, ``kv_factory``,
-        ``replicas`` — is **inherited
-        from this store** unless explicitly overridden, so resharding a
-        compressed+mmap deployment yields a compressed+mmap target (it
-        used to silently drop every knob).  ``path`` stays explicit:
-        defaulting it to the source path would overwrite the source's
-        own segment files.
-
-        The final flush is durable (``sync=True``): the target's rows
-        are on disk before the caller can retire the source.  For
-        resharding *in place* without downtime, see
-        :meth:`begin_reshard` / :meth:`migrate_step` /
-        :meth:`finish_reshard`.
-        """
-        target = ShardedGraphStore(
-            path, num_shards=num_shards,
-            cache_bytes=(self._cache_bytes if cache_bytes is _INHERIT
-                         else cache_bytes),
-            kv_factory=(self._kv_factory if kv_factory is _INHERIT
-                        else kv_factory),
-            compress=(self._compress if compress is _INHERIT else compress),
-            use_mmap=(self._use_mmap if use_mmap is _INHERIT else use_mmap),
-            replicas=(self._replicas if replicas is _INHERIT else replicas),
-            hot_cache_bytes=(self._hot_cache_bytes
-                             if hot_cache_bytes is _INHERIT
-                             else hot_cache_bytes),
-        )
-        with self._lock.read():
-            for seg in self._segments:
-                for v in list(seg.vertices()):
-                    target.put_neighbors(v, seg.get_neighbors(v))
-        target.flush(sync=True)
-        return target
-
     def begin_reshard(self, num_shards: int,
                       path: str | Path | None = None) -> None:
         """Open a new generation of segments and start a live migration.
@@ -787,8 +746,8 @@ class ShardedGraphStore:
         (``path=None``) the new segments live under a ``.g<G>`` prefix
         of the store's own base path; an explicit ``path`` relocates
         them under plain gen-0 names, so the flipped store can later be
-        reopened as ``ShardedGraphStore(path, num_shards)`` directly
-        (in-memory stores stay in-memory either way).
+        reopened as ``ShardedGraphStore(path, num_shards)`` directly.
+        An in-memory store stays in memory unless ``path`` is given.
         """
         with self._lock.write():
             if self._migration is not None:
@@ -813,6 +772,18 @@ class ShardedGraphStore:
             self.reshard_stats.set_gauge("vertices_pending", len(pending))
             self.reshard_stats.set_gauge("progress", 0.0)
 
+    def _migrate_one(self, migration: _Migration, v: int) -> None:
+        """Copy ``v``'s old-generation record to its new placement.
+
+        A vertex deleted since it was enqueued is skipped.  Callers
+        hold the exclusive lock.
+        """
+        seg = self._segments[self._router.shard_of(v)]
+        if seg.has_vertex(v):
+            target = migration.segments[migration.router.shard_of(v)]
+            target.put_neighbors(v, seg.get_neighbors(v))
+            migration.migrated.add(v)
+
     def migrate_step(self, max_vertices: int = 256) -> int:
         """Copy up to ``max_vertices`` pending vertices into the new
         generation; returns how many moved (0 = worklist drained).
@@ -828,12 +799,7 @@ class ShardedGraphStore:
                 raise RuntimeError("no reshard in progress")
             moved = 0
             while migration.pending and moved < max_vertices:
-                v = migration.pending.pop()
-                seg = self._segments[self._router.shard_of(v)]
-                if seg.has_vertex(v):
-                    target = migration.segments[migration.router.shard_of(v)]
-                    target.put_neighbors(v, seg.get_neighbors(v))
-                    migration.migrated.add(v)
+                self._migrate_one(migration, migration.pending.pop())
                 moved += 1
             self.reshard_stats.inc("vertices_migrated", moved)
             done = len(migration.migrated)
@@ -877,12 +843,7 @@ class ShardedGraphStore:
                 raise RuntimeError("no reshard in progress")
             # Writers may have enqueued fresh vertices since the drain.
             while migration.pending:
-                v = migration.pending.pop()
-                seg = self._segments[self._router.shard_of(v)]
-                if seg.has_vertex(v):
-                    target = migration.segments[migration.router.shard_of(v)]
-                    target.put_neighbors(v, seg.get_neighbors(v))
-                    migration.migrated.add(v)
+                self._migrate_one(migration, migration.pending.pop())
             for seg in migration.segments:
                 # Only straggler writes since the pre-flush are still
                 # buffered, so this fsync is near-empty.

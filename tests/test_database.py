@@ -6,6 +6,8 @@ import pytest
 
 from repro.apps.database import VendGraphDB
 from repro.graph import powerlaw_graph
+from repro.storage import ShardedGraphStore
+from repro.storage.kvstore import DiskKVStore
 
 
 @pytest.fixture
@@ -122,6 +124,39 @@ class TestStats:
             assert database.num_vertices == 50
 
 
+class TestSingleFileLayout:
+    """A log at ``path`` itself is the retired single-file layout.
+
+    Opening it used to create an empty ``<path>.shard0`` beside it and
+    report an empty database; it is refused instead, byte-for-byte
+    untouched.
+    """
+
+    def test_single_file_log_is_refused_and_left_untouched(self, tmp_path):
+        path = tmp_path / "db.log"
+        kv = DiskKVStore(path)
+        for v in range(20):
+            kv.put(v, bytes(4 * (v % 5)))
+        kv.close()
+        before = path.read_bytes()
+        for opener in (lambda: VendGraphDB(path, k=4),
+                       lambda: ShardedGraphStore(path, num_shards=2)):
+            with pytest.raises(ValueError, match=r"db\.log\.shard0"):
+                opener()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db.log"]
+
+    def test_renamed_log_opens_as_one_segment(self, tmp_path):
+        path = tmp_path / "db.log"
+        kv = DiskKVStore(path)
+        kv.put(7, bytes(8))
+        kv.close()
+        path.rename(tmp_path / "db.log.shard0")
+        with VendGraphDB(path, k=4) as database:
+            assert database.num_vertices == 1
+            assert database.num_shards == 1
+
+
 class TestRebuildFromHalfEdges:
     """A crash between the two half writes of an edge leaves one half.
 
@@ -135,8 +170,6 @@ class TestRebuildFromHalfEdges:
         graph = powerlaw_graph(400, avg_degree=8, seed=165)
         database = VendGraphDB(tmp_path / "half.log", k=4, shards=shards)
         database.load_graph(graph)
-        store = database.store
-        segment_of = getattr(store, "segment_of", lambda v: store)
         rng = random.Random(166)
         vertices = sorted(graph.vertices())
         halves = set()
@@ -145,7 +178,7 @@ class TestRebuildFromHalfEdges:
             if not graph.has_edge(u, v):
                 halves.add((u, v))
         for u, v in sorted(halves):
-            assert segment_of(u).insert_half_edge(u, v)
+            assert database.store.segment_of(u).insert_half_edge(u, v)
         database.rebuild_index()
         us = [u for u, _ in sorted(halves)]
         vs = [v for _, v in sorted(halves)]

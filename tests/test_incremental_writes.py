@@ -20,8 +20,7 @@ from repro.workloads.streams import OP_DELETE, OP_INSERT, OP_PROBE, churn_stream
 
 
 def _kv_segments(db):
-    segments = getattr(db.store, "segments", None) or [db.store]
-    return [segment._kv for segment in segments]
+    return [segment._kv for segment in db.store.segments]
 
 
 def _stored(db, v):

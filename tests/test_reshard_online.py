@@ -184,26 +184,30 @@ class TestOnlineReshard:
 
 
 class TestReshardConfigInheritance:
-    """Satellite regression: reshard() used to silently drop the source
-    store's compress/mmap/cache/kv_factory configuration."""
+    """Satellite regression: resharding used to silently drop the source
+    store's compress/mmap/cache/kv_factory configuration.  The
+    ``offline`` tests relocate the store to a new base path, the job
+    the retired offline copy did."""
 
     def test_offline_reshard_inherits_compress_and_mmap(self, tmp_path):
         g = _ring_graph(24)
-        source = ShardedGraphStore(tmp_path / "src.db", num_shards=2,
-                                   cache_bytes=1 << 14, compress=True,
-                                   use_mmap=True)
-        source.bulk_load(g)
-        target = source.reshard(4, path=tmp_path / "dst.db")
-        _assert_matches(target, g)
-        for seg in target.segments:
+        store = ShardedGraphStore(tmp_path / "src.db", num_shards=2,
+                                  cache_bytes=1 << 14, compress=True,
+                                  use_mmap=True)
+        store.bulk_load(g)
+        store.begin_reshard(4, path=tmp_path / "dst.db")
+        store.finish_reshard()
+        _assert_matches(store, g)
+        for shard, seg in enumerate(store.segments):
+            assert seg._kv.path == tmp_path / f"dst.db.shard{shard}"
             assert seg._kv._compress is True
             assert seg._kv._use_mmap is True
             assert seg._kv._cache is not None
-        # The target's records really are compressed blobs.
-        target.put_neighbors(500, list(range(0, 64, 2)))
-        assert target.stats.compressed_puts > 0
-        source.close()
-        target.close()
+        # The relocated records really are compressed blobs.
+        before = store.stats.compressed_puts
+        store.put_neighbors(500, list(range(0, 64, 2)))
+        assert store.stats.compressed_puts > before
+        store.close()
 
     def test_offline_reshard_inherits_kv_factory(self, tmp_path):
         wrapped = []
@@ -214,27 +218,18 @@ class TestReshardConfigInheritance:
             wrapped.append(injector)
             return injector
 
-        source = ShardedGraphStore(tmp_path / "src.db", num_shards=2,
-                                   kv_factory=factory)
-        source.bulk_load(_ring_graph(12))
+        store = ShardedGraphStore(tmp_path / "src.db", num_shards=2,
+                                  kv_factory=factory)
+        g = _ring_graph(12)
+        store.bulk_load(g)
         built_for_source = len(wrapped)
-        target = source.reshard(3, path=tmp_path / "dst.db")
+        store.begin_reshard(3, path=tmp_path / "dst.db")
+        store.finish_reshard()
         assert len(wrapped) == built_for_source + 3
-        for seg in target.segments:
+        for seg in store.segments:
             assert isinstance(seg._kv, FaultInjectingKVStore)
-        source.close()
-        target.close()
-
-    def test_explicit_override_still_wins(self, tmp_path):
-        source = ShardedGraphStore(tmp_path / "src.db", num_shards=2,
-                                   compress=True)
-        source.bulk_load(_ring_graph(8))
-        target = source.reshard(2, path=tmp_path / "dst.db",
-                                compress=False)
-        for seg in target.segments:
-            assert seg._kv._compress is False
-        source.close()
-        target.close()
+        _assert_matches(store, g)
+        store.close()
 
     def test_online_reshard_inherits_config(self, tmp_path):
         g = _ring_graph(16)
@@ -447,13 +442,24 @@ class TestDatabaseReshard:
         assert db.remove_edge(int(us[0]), int(vs[0])) == expected[0]
         db.close()
 
-    def test_db_reshard_requires_sharded_store(self):
+    def test_default_db_reshards_one_to_two_and_back(self):
         from repro.apps import VendGraphDB
 
-        db = VendGraphDB()
-        db.load_graph(_ring_graph(8))
-        with pytest.raises(ValueError, match="sharded"):
-            db.reshard(2)
+        g = powerlaw_graph(80, avg_degree=5, seed=9)
+        db = VendGraphDB(k=6)
+        db.load_graph(g)
+        assert db.num_shards == 1
+        verts = sorted(g.vertices())
+        pairs = [(u, v) for u in verts for v in verts if u != v]
+        us = np.asarray([u for u, _ in pairs], dtype=np.int64)
+        vs = np.asarray([v for _, v in pairs], dtype=np.int64)
+        expected = [g.has_edge(u, v) for u, v in pairs]
+        for shards in (2, 1):
+            db.reshard(shards)
+            assert db.num_shards == shards
+            assert db.has_edge_batch(us, vs).tolist() == expected
+            assert len(db.shard_query_stats) == shards
+            assert [db.has_edge(u, v) for u, v in pairs[::7]] == expected[::7]
         db.close()
 
     def test_db_reshard_with_replicas(self):

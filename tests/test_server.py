@@ -152,66 +152,86 @@ class TestNeighbors:
 # -- coalescing and stats attribution ---------------------------------------
 
 
+def _probe_concurrently(db) -> None:
+    """N concurrent clients; coalesced engine calls; every client still
+    gets its own answers back in its own order, and the coalesced
+    traffic lands in the engine and per-shard ledgers exactly."""
+    # A wide window guarantees concurrent arrivals share a batch.
+    handle = serve_in_thread(db, ServerConfig(batch_window=0.05))
+    from repro.obs import default_registry
+    batches = default_registry().counter(
+        "repro_server_coalesced_batches_total")
+    pairs_counter = default_registry().counter(
+        "repro_server_coalesced_pairs_total")
+    batches_before = batches.total()
+    pairs_before = pairs_counter.total()
+    engine_before = db.query_stats.total
+
+    edge_set = {tuple(sorted(e)) for e in EDGES}
+    requests = [
+        [[i % NUM_VERTICES, (i + j) % NUM_VERTICES]
+         for j in range(1, 4)]
+        for i in range(8)
+    ]
+    results: list = [None] * len(requests)
+
+    def worker(idx: int) -> None:
+        client = Client(handle, client_id=f"c{idx}")
+        try:
+            results[idx] = client.post("/v1/edges:probe",
+                                       {"pairs": requests[idx]})
+        finally:
+            client.close()
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(requests))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    try:
+        total_pairs = 0
+        for request, outcome in zip(requests, results):
+            status, doc = outcome
+            assert status == 200
+            expected = [tuple(sorted((u, v))) in edge_set and u != v
+                        for u, v in request]
+            assert doc["results"] == expected
+            total_pairs += len(request)
+        batch_calls = batches.total() - batches_before
+        assert 1 <= batch_calls < len(requests), (
+            f"{len(requests)} concurrent requests produced "
+            f"{batch_calls} engine batches — no coalescing happened")
+        assert pairs_counter.total() - pairs_before == total_pairs
+        # Attribution: coalesced traffic still lands in the engine
+        # ledger, and the per-shard ledgers sum to it exactly.
+        engine_delta = db.query_stats.total - engine_before
+        assert engine_delta == total_pairs
+        assert len(db.shard_query_stats) == db.num_shards
+        for field in ("total", "filtered", "executed", "cache_served",
+                      "disk_served", "positives"):
+            shard_sum = sum(getattr(s, field) for s in db.shard_query_stats)
+            assert shard_sum == getattr(db.query_stats, field)
+    finally:
+        handle.stop()
+
+
 class TestCoalescing:
     def test_concurrent_probes_coalesce_and_stay_correct(self):
-        """N concurrent clients; coalesced engine calls; every client
-        still gets its own answers back in its own order."""
         db = make_db(shards=2)
-        # A wide window guarantees concurrent arrivals share a batch.
-        handle = serve_in_thread(db, ServerConfig(batch_window=0.05))
-        from repro.obs import default_registry
-        batches = default_registry().counter(
-            "repro_server_coalesced_batches_total")
-        pairs_counter = default_registry().counter(
-            "repro_server_coalesced_pairs_total")
-        batches_before = batches.total()
-        pairs_before = pairs_counter.total()
-        engine_before = db.query_stats.total
-
-        edge_set = {tuple(sorted(e)) for e in EDGES}
-        requests = [
-            [[i % NUM_VERTICES, (i + j) % NUM_VERTICES]
-             for j in range(1, 4)]
-            for i in range(8)
-        ]
-        results: list = [None] * len(requests)
-
-        def worker(idx: int) -> None:
-            client = Client(handle, client_id=f"c{idx}")
-            try:
-                results[idx] = client.post("/v1/edges:probe",
-                                           {"pairs": requests[idx]})
-            finally:
-                client.close()
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(len(requests))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
         try:
-            total_pairs = 0
-            for request, outcome in zip(requests, results):
-                status, doc = outcome
-                assert status == 200
-                expected = [tuple(sorted((u, v))) in edge_set and u != v
-                            for u, v in request]
-                assert doc["results"] == expected
-                total_pairs += len(request)
-            batch_calls = batches.total() - batches_before
-            assert 1 <= batch_calls < len(requests), (
-                f"{len(requests)} concurrent requests produced "
-                f"{batch_calls} engine batches — no coalescing happened")
-            assert pairs_counter.total() - pairs_before == total_pairs
-            # Attribution: coalesced traffic still lands in the engine
-            # ledger, and the per-shard ledgers sum to it exactly.
-            engine_delta = db.query_stats.total - engine_before
-            assert engine_delta == total_pairs
-            shard_sum = sum(s.total for s in db.shard_query_stats)
-            assert shard_sum == db.query_stats.total
+            _probe_concurrently(db)
         finally:
-            handle.stop()
+            db.close()
+
+    def test_one_shard_books_one_ledger_and_one_hot_cache(self, tmp_path):
+        db = make_db(path=tmp_path / "db", shards=1,
+                     hot_cache_bytes=1 << 16)
+        try:
+            _probe_concurrently(db)
+            assert len(db.shard_query_stats) == 1
+            assert len(db.hot_caches()) == 1
+        finally:
             db.close()
 
 

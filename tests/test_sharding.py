@@ -204,18 +204,26 @@ class TestReshard:
     @settings(max_examples=50, deadline=None)
     def test_reshard_preserves_every_adjacency(self, edges, s_from, s_to):
         g = Graph(edges)
-        source = ShardedGraphStore(num_shards=s_from)
-        source.bulk_load(g)
-        target = source.reshard(s_to)
-        assert sorted(target.vertices()) == sorted(source.vertices())
+        store = ShardedGraphStore(num_shards=s_from)
+        store.bulk_load(g)
+        store.begin_reshard(s_to)
+        store.finish_reshard()
+        assert store.num_shards == s_to
+        assert sorted(store.vertices()) == sorted(g.vertices())
         for v in g.vertices():
-            assert target.get_neighbors(v) == g.sorted_neighbors(v)
+            assert store.get_neighbors(v) == g.sorted_neighbors(v)
 
     def test_reshard_to_disk(self, tmp_path):
         g = _ring_graph(20)
-        source = ShardedGraphStore(num_shards=2)
-        source.bulk_load(g)
-        target = source.reshard(4, path=tmp_path / "r.db")
+        store = ShardedGraphStore(num_shards=2)
+        store.bulk_load(g)
+        store.begin_reshard(4, path=tmp_path / "r.db")
+        store.finish_reshard()
         for v in g.vertices():
-            assert target.get_neighbors(v) == g.sorted_neighbors(v)
-        target.close()
+            assert store.get_neighbors(v) == g.sorted_neighbors(v)
+        store.close()
+        # The relocated layout is durable under plain generation-0 names.
+        reopened = ShardedGraphStore(tmp_path / "r.db", num_shards=4)
+        for v in g.vertices():
+            assert reopened.get_neighbors(v) == g.sorted_neighbors(v)
+        reopened.close()
