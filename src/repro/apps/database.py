@@ -306,7 +306,7 @@ class VendGraphDB:
         Each entry is labeled ``shard="<i>"`` and sums with its peers
         to exactly the :attr:`query_stats` totals.
         """
-        return list(self._engine.shard_stats)
+        return self._engine.shard_ledgers()
 
     @property
     def index_rebuilds(self) -> int:

@@ -230,6 +230,17 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
             self.shard_stats = self._build_shard_stats()
             self._store_generation = generation
 
+    def shard_ledgers(self) -> list[QueryStats]:
+        """The per-shard ledgers of the store's current topology.
+
+        Synced under the shared guard like a query, so the list matches
+        the layout right after a reshard, before any query has run.
+        """
+        with self.store.read_guard():
+            self._sync_generation()
+            with self._book_lock:
+                return list(self.shard_stats)
+
     def has_edge(self, u: int, v: int) -> bool:
         """Scalar query routed to the owning shard, dual-booked."""
         tracer = default_tracer()

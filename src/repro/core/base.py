@@ -160,6 +160,17 @@ class VendSolution(ABC):
             dtype=bool, count=len(us),
         )
 
+    def batch_snapshot(self):
+        """The batch snapshot ``is_nonedge_batch`` reads, made current.
+
+        Builds the snapshot when it was dropped and publishes a patched
+        copy when maintenance left rows to refill; returns ``None``
+        when the solution has none (the scalar fallback above, or an
+        unbuilt solution).  No query runs, so an engine can warm the
+        snapshot on one thread before fanning a batch out.
+        """
+        return None
+
     def _invalidate_batch(self) -> None:
         """Drop the cached batch snapshot (call after any mutation)."""
         self._batch_index = None

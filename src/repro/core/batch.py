@@ -33,16 +33,17 @@ __all__ = [
 def warm_batch_snapshot(filt) -> None:
     """Force a filter's lazy batch snapshot to build on *this* thread.
 
-    Every solution rebuilds its snapshot lazily via the unguarded
-    ``if self._batch_index is None: self._batch_index = ...`` pattern,
-    and the hybrid family publishes a row-patched copy the same way
-    after maintenance that marked dirty rows.  That is fine
-    single-threaded, but the shard-parallel engine evaluates NDF slices
-    on pool threads — two threads hitting a cold or dirty snapshot would
-    build or patch it twice and publish a half-initialized object to
-    each other.  The engine therefore warms the snapshot once on the
-    coordinator thread before any fan-out; after maintenance the next
-    batch re-warms (rebuilds or patches) it the same way.
+    Every solution rebuilds its snapshot lazily in its unguarded
+    ``batch_snapshot`` accessor (``if self._batch_index is None:
+    self._batch_index = ...``), and the hybrid family publishes a
+    row-patched copy the same way after maintenance that marked dirty
+    rows.  That is fine single-threaded, but the shard-parallel engine
+    evaluates NDF slices on pool threads — two threads hitting a cold
+    or dirty snapshot would build or patch it twice and publish a
+    half-initialized object to each other.  The engine therefore warms
+    the snapshot once on the coordinator thread before any fan-out;
+    after maintenance the next batch re-warms (rebuilds or patches) it
+    the same way.
 
     The snapshot itself stays **shared across shards** rather than
     being split per shard: ``F(f(u), f(v))`` reads *both* endpoints'
@@ -51,11 +52,14 @@ def warm_batch_snapshot(filt) -> None:
     pair.  A snapshot is never written after it is published (a patch
     is a copy), so sharing it across pool threads is both correct and
     contention-free.
+
+    Only the accessor runs — no query — so warming costs nothing once
+    the snapshot is current.  Filters without the accessor (a bare
+    snapshot, a scalar-only filter) have nothing to warm.
     """
-    batch = getattr(filt, "is_nonedge_batch", None)
-    if batch is not None:
-        probe = np.zeros(1, dtype=np.int64)
-        batch(probe, probe)
+    snapshot = getattr(filt, "batch_snapshot", None)
+    if snapshot is not None:
+        snapshot()
 
 
 def shard_slices(router, us: np.ndarray, vs: np.ndarray):

@@ -47,5 +47,9 @@ class DirectedVend:
         """Vectorized directed NDF: delegates to the base solution."""
         return self.base.is_nonedge_batch(pairs_u, pairs_v)
 
+    def batch_snapshot(self):
+        """The base solution's batch snapshot, made current."""
+        return self.base.batch_snapshot()
+
     def memory_bytes(self) -> int:
         return self.base.memory_bytes()

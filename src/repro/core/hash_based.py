@@ -66,12 +66,15 @@ class _ModHashVend(VendSolution):
         miss_v = not (slot_v >> (u % m)) & 1
         return miss_u and miss_v
 
+    def batch_snapshot(self) -> ModHashBatch:
+        if self._batch_index is None:
+            self._batch_index = ModHashBatch(self)
+        return self._batch_index
+
     def is_nonedge_batch(self, pairs_u, pairs_v=None) -> np.ndarray:
         """Vectorized modular-hash NDF (matches the scalar predicate)."""
         us, vs = endpoint_arrays(pairs_u, pairs_v)
-        if self._batch_index is None:
-            self._batch_index = ModHashBatch(self)
-        return self._batch_index.query(us, vs)
+        return self.batch_snapshot().query(us, vs)
 
     def memory_bytes(self) -> int:
         total = len(self._slots) * self.total_bits // 8

@@ -334,8 +334,8 @@ class HybridVend(VendSolution):
                 return True
         return self.ne_test(v, cu) and self.ne_test(u, cv)
 
-    def is_nonedge_batch(self, pairs_u, pairs_v=None) -> np.ndarray:
-        """Vectorized ``F^hyb`` via a cached columnar snapshot.
+    def batch_snapshot(self):
+        """The columnar snapshot, built or patched now (``None`` unbuilt).
 
         The snapshot is built lazily after ``build`` or a change of the
         vertex set drops it.  When maintenance only rewrote existing
@@ -343,9 +343,8 @@ class HybridVend(VendSolution):
         rows refilled.  Direct code mutation outside the hooks requires
         an explicit ``_invalidate_batch``.
         """
-        us, vs = endpoint_arrays(pairs_u, pairs_v)
         if self.id_bits == 0 or not self._codes:
-            return np.zeros(len(us), dtype=bool)  # unbuilt: nothing certified
+            return None
         index = self._batch_index
         if index is None:
             from .columnar import ColumnarIndex  # deferred: avoids cycle
@@ -353,6 +352,14 @@ class HybridVend(VendSolution):
         elif self._dirty_rows:
             dirty, self._dirty_rows = self._dirty_rows, set()
             index = self._batch_index = index.patched(self, sorted(dirty))
+        return index
+
+    def is_nonedge_batch(self, pairs_u, pairs_v=None) -> np.ndarray:
+        """Vectorized ``F^hyb`` over :meth:`batch_snapshot`."""
+        us, vs = endpoint_arrays(pairs_u, pairs_v)
+        index = self.batch_snapshot()
+        if index is None:
+            return np.zeros(len(us), dtype=bool)  # unbuilt: nothing certified
         return index.query_batch(us, vs)
 
     def _invalidate_batch(self, *vertices: int) -> None:

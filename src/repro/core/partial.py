@@ -86,12 +86,15 @@ class PartialVend(VendSolution):
             return u not in self._members[v]
         return False  # both in the core: undetermined
 
+    def batch_snapshot(self) -> PartialBatch:
+        if self._batch_index is None:
+            self._batch_index = PartialBatch(self)
+        return self._batch_index
+
     def is_nonedge_batch(self, pairs_u, pairs_v=None) -> np.ndarray:
         """Vectorized ``F^α`` over a pair batch (matches the scalar NDF)."""
         us, vs = endpoint_arrays(pairs_u, pairs_v)
-        if self._batch_index is None:
-            self._batch_index = PartialBatch(self)
-        snapshot = self._batch_index
+        snapshot = self.batch_snapshot()
         _, result = snapshot.query(us, vs, snapshot.rows(us), snapshot.rows(vs))
         return result
 

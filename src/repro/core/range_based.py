@@ -108,12 +108,15 @@ class RangeVend(VendSolution):
             return True
         return False
 
+    def batch_snapshot(self) -> RangeBatch:
+        if self._batch_index is None:
+            self._batch_index = RangeBatch(self)
+        return self._batch_index
+
     def is_nonedge_batch(self, pairs_u, pairs_v=None) -> np.ndarray:
         """Vectorized ``F^R`` over a pair batch (matches the scalar NDF)."""
         us, vs = endpoint_arrays(pairs_u, pairs_v)
-        if self._batch_index is None:
-            self._batch_index = RangeBatch(self)
-        return self._batch_index.query(us, vs)
+        return self.batch_snapshot().query(us, vs)
 
     def memory_bytes(self) -> int:
         total = len(self._blocks) * self.total_bits // 8

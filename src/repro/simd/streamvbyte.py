@@ -33,9 +33,14 @@ Unlike :func:`encode` (which restarts deltas at every group, one
 SS-tree node at a time), blobs delta-code **continuously across the
 whole list**: the first value is stored as a delta from zero and every
 later value as the gap to its predecessor — the per-group restart
-would re-widen one delta in four.  :func:`decode_blobs_packed` undoes
-it for thousands of blobs at once with the shuffle LUT and one global
-``cumsum``.
+would re-widen one delta in four.
+
+Blob decoding needs no shuffle window.  A value's byte length comes
+from its control byte, so the value itself is one little-endian 32-bit
+load at its data offset, masked to that length.
+:func:`decode_blobs_packed` does this for thousands of blobs at once
+(one word gather, one global ``cumsum``); :func:`decode_blob_checked`
+is the one-record form, which also checks the blob's structure.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ __all__ = [
     "encode_blob",
     "blob_count",
     "decode_blob",
+    "decode_blob_checked",
     "decode_blobs_packed",
     "leb128_encode",
     "leb128_decode",
@@ -68,9 +74,9 @@ __all__ = [
 GROUP_SIZE = 4
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precompute per-control-byte lane lengths, totals, shuffle masks."""
-    lengths = np.zeros((256, GROUP_SIZE), dtype=np.int64)
+def _build_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Precompute per-control-byte lane lengths and shuffle masks."""
+    lengths = np.zeros((256, GROUP_SIZE), dtype=np.uint8)
     shuffle = np.full((256, 16), SHUFFLE_ZERO, dtype=np.uint8)
     for control in range(256):
         pos = 0
@@ -80,17 +86,15 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             for byte in range(size):
                 shuffle[control, lane * 4 + byte] = pos
                 pos += 1
-    totals = lengths.sum(axis=1)
-    return lengths, totals, shuffle
+    return lengths, shuffle
 
 
-_LANE_LENGTHS, _TOTAL_LENGTHS, _SHUFFLE_MASKS = _build_tables()
-#: Per-control mask of shuffle positions that gather real data bytes
-#: (False lanes are the zero-fill positions of the pshufb mask).
-_SHUFFLE_KEEP = _SHUFFLE_MASKS != SHUFFLE_ZERO
-#: Shuffle offsets with the zero-fill sentinel replaced by 0, so a bulk
-#: gather stays in bounds; the fill lanes are zeroed via _SHUFFLE_KEEP.
-_SHUFFLE_SAFE = np.where(_SHUFFLE_KEEP, _SHUFFLE_MASKS, 0).astype(np.uint8)
+_LANE_LENGTHS, _SHUFFLE_MASKS = _build_tables()
+#: Per control byte, the data bytes its first 1..4 lanes span.
+_LANE_ENDS = [tuple(np.cumsum(row).tolist()) for row in _LANE_LENGTHS]
+#: ``_LANE_LENGTHS`` with each row packed into one word, so a bulk
+#: lookup is a 1-d ``take`` of 4-byte items.
+_LANE_LENGTH_WORDS = _LANE_LENGTHS.view(np.uint32).ravel()
 
 
 def _byte_length(value: int) -> int:
@@ -249,15 +253,37 @@ def leb128_decode(buf, pos: int = 0) -> tuple[int, int]:
     raise ValueError("LEB128 varint longer than 5 bytes")
 
 
+#: Smallest count needing 2, 3, 4 and 5 LEB128 bytes.
+_LEB128_LIMITS = np.array([1 << 7, 1 << 14, 1 << 21, 1 << 28], dtype=np.intp)
+
+
 def _leb128_lengths(counts: np.ndarray) -> np.ndarray:
     """Vectorized LEB128 byte lengths for positive ``counts``."""
-    return (
-        1
-        + (counts >= 1 << 7).astype(np.int64)
-        + (counts >= 1 << 14).astype(np.int64)
-        + (counts >= 1 << 21).astype(np.int64)
-        + (counts >= 1 << 28).astype(np.int64)
-    )
+    return np.searchsorted(_LEB128_LIMITS, counts, side="right") + 1
+
+
+#: Delta widths: a delta above ``_WIDTH_LIMITS[i]`` needs ``i + 2``
+#: bytes, so ``searchsorted`` yields each delta's 2-bit length code.
+_WIDTH_LIMITS = np.array([0xFF, 0xFFFF, 0xFFFFFF], dtype=np.uint32)
+#: ``_LANE_KEEP[code]`` selects the ``code + 1`` low bytes of a word.
+_LANE_KEEP = np.arange(GROUP_SIZE)[None, :] <= np.arange(GROUP_SIZE)[:, None]
+#: Bit offset of each lane's length code inside its control byte.
+_LANE_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
+
+
+def _words(src: np.ndarray) -> np.ndarray:
+    """Stride-1 little-endian ``uint32`` view: ``words[i]`` is the word
+    loaded from ``src[i:i+4]``.  ``src`` is contiguous and >= 4 bytes."""
+    return np.ndarray((src.size - 3,), dtype="<u4", buffer=src,
+                      strides=(1,))
+
+
+def _keep_low_bytes(words: np.ndarray, lengths: np.ndarray) -> None:
+    """Mask each loaded word to its value's low ``lengths`` bytes, in
+    place, by shifting the bytes of the next values out the top."""
+    spare = ((GROUP_SIZE - lengths) << 3).astype(np.uint32)
+    words <<= spare
+    words >>= spare
 
 
 def encode_blob(values) -> bytes:
@@ -265,48 +291,80 @@ def encode_blob(values) -> bytes:
 
     Deltas run continuously across the whole sequence (first value is a
     delta from zero); the final partial group stores no padding bytes.
-    Raises ``ValueError`` for empty input, values outside uint32, or a
-    decreasing sequence.
+    The data bytes are one boolean select over the ``(count, 4)``
+    little-endian byte view of the deltas.  Raises ``ValueError`` for
+    empty input, values outside uint32, or a decreasing sequence.
     """
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("encode_blob needs a non-empty 1-d sequence")
-    if int(arr.min()) < 0 or int(arr.max()) >> 32:
-        raise ValueError("blob values must fit in unsigned 32-bit lanes")
-    deltas = arr.copy()
-    deltas[1:] -= arr[:-1]
-    if arr.size > 1 and int(deltas[1:].min()) < 0:
-        raise ValueError("delta coding needs a non-decreasing sequence")
-    count = int(arr.size)
+    count = arr.size
     if count == 1:
-        return int(arr[0]).to_bytes(_byte_length(int(arr[0])), "little")
-    byte_lens = (
-        1
-        + (deltas > 0xFF).astype(np.int64)
-        + (deltas > 0xFFFF).astype(np.int64)
-        + (deltas > 0xFFFFFF).astype(np.int64)
-    )
-    codes = np.zeros(((count + 3) // 4) * 4, dtype=np.int64)
-    codes[:count] = byte_lens - 1
-    controls = (
-        codes[0::4] | codes[1::4] << 2 | codes[2::4] << 4 | codes[3::4] << 6
-    ).astype(np.uint8)
-    data = np.zeros(int(byte_lens.sum()), dtype=np.uint8)
-    starts = np.zeros(count, dtype=np.int64)
-    np.cumsum(byte_lens[:-1], out=starts[1:])
-    for shift in range(4):
-        lane = byte_lens > shift
-        data[starts[lane] + shift] = (deltas[lane] >> (8 * shift)) & 0xFF
+        value = int(arr[0])
+        return value.to_bytes(_byte_length(value), "little")
+    if arr[0] < 0 or np.maximum.reduce(arr) >> 32:
+        raise ValueError("blob values must fit in unsigned 32-bit lanes")
+    wide = np.empty(count, dtype=np.int64)
+    wide[0] = arr[0]
+    np.subtract(arr[1:], arr[:-1], out=wide[1:])
+    if np.minimum.reduce(wide) < 0:
+        raise ValueError("delta coding needs a non-decreasing sequence")
+    deltas = wide.astype("<u4")
+    codes = np.searchsorted(_WIDTH_LIMITS, deltas)
+    padded = np.zeros(-(-count // GROUP_SIZE) * GROUP_SIZE, dtype=np.uint8)
+    padded[:count] = codes
+    controls = np.add.reduce(padded.reshape(-1, GROUP_SIZE) << _LANE_SHIFTS,
+                             axis=1, dtype=np.uint8)
+    data = deltas.view(np.uint8).reshape(count, GROUP_SIZE)[_LANE_KEEP[codes]]
+    body = controls.tobytes() + data.tobytes()
     if count <= GROUP_SIZE:
-        return controls.tobytes() + data.tobytes()
-    return leb128_encode(count) + controls.tobytes() + data.tobytes()
+        return body
+    return leb128_encode(count) + body
+
+
+def _lane_lengths(layout: int, payload,
+                  count: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(data_start, lengths, ends)`` of a grouped blob of ``count`` values.
+
+    ``data_start`` is the payload offset of the first data byte,
+    ``lengths`` each value's byte length and ``ends`` their inclusive
+    prefix sum.  Raises ``ValueError`` unless the layout holds
+    ``count`` values and the size that layout implies equals the
+    payload length — the structural check of log replay.
+    """
+    size = len(payload)
+    if layout == BLOB_GROUP:
+        if not 2 <= count <= GROUP_SIZE:
+            raise ValueError("group blob must hold 2..4 values")
+        header = 0
+    elif layout == BLOB_MULTI:
+        stored, header = leb128_decode(payload)
+        if stored <= GROUP_SIZE:
+            raise ValueError("multi-group blob must hold 5+ values")
+        if stored != count:
+            raise ValueError(
+                f"multi-group blob holds {stored} values, expected {count}")
+    else:
+        raise ValueError(f"unknown blob layout {layout}")
+    groups = -(-count // GROUP_SIZE)
+    data_start = header + groups
+    if data_start > size:
+        raise ValueError("blob truncated in control bytes")
+    controls = np.frombuffer(payload, dtype=np.uint8, count=groups,
+                             offset=header)
+    lengths = _LANE_LENGTHS[controls].ravel()[:count]
+    ends = np.add.accumulate(lengths, dtype=np.intp)
+    if data_start + ends[-1] != size:
+        raise ValueError(f"blob payload is {size} bytes, layout implies "
+                         f"{data_start + int(ends[-1])}")
+    return data_start, lengths, ends
 
 
 def blob_count(layout: int, payload: bytes) -> int:
     """Value count of an encoded blob, validating its structure.
 
-    Used by log replay to reject malformed (torn) v3 payloads, and by
-    the read path to size outputs without decoding.
+    Used by log replay, which has only the payload, to reject malformed
+    (torn) v3 payloads and to size the decoded record.
     """
     size = len(payload)
     if layout == BLOB_SINGLE:
@@ -316,43 +374,48 @@ def blob_count(layout: int, payload: bytes) -> int:
     if layout == BLOB_GROUP:
         if size < 2:
             raise ValueError("group blob needs a control byte and data")
-        prefix = np.cumsum(_LANE_LENGTHS[payload[0]])
-        hits = np.flatnonzero(prefix == size - 1)
-        if hits.size == 0 or hits[0] == 0:
+        # Lane-length prefix sums are strictly increasing, so at most
+        # one count in 2..4 fits the payload size.
+        ends = _LANE_ENDS[payload[0]]
+        if size - 1 not in ends[1:]:
             raise ValueError("group blob size matches no lane count in 2..4")
-        return int(hits[0]) + 1
-    if layout == BLOB_MULTI:
-        count, header = leb128_decode(payload)
-        if count <= GROUP_SIZE:
-            raise ValueError("multi-group blob must hold 5+ values")
-        groups = (count + 3) // 4
-        if header + groups > size:
-            raise ValueError("multi-group blob truncated in control bytes")
-        controls = np.frombuffer(payload, dtype=np.uint8,
-                                 count=groups, offset=header)
-        lane_lens = _LANE_LENGTHS[controls]
-        active = np.minimum(count - 4 * np.arange(groups, dtype=np.int64), 4)
-        mask = np.arange(GROUP_SIZE)[None, :] < active[:, None]
-        expected = header + groups + int((lane_lens * mask).sum())
-        if expected != size:
+        return ends.index(size - 1) + 1
+    if layout != BLOB_MULTI:
+        raise ValueError(f"unknown blob layout {layout}")
+    count, _ = leb128_decode(payload)
+    _lane_lengths(layout, payload, count)
+    return count
+
+
+def decode_blob_checked(layout: int, payload: bytes,
+                        count: int) -> np.ndarray:
+    """Decode one blob of ``count`` values back to ``uint32``.
+
+    The one-record read path: ``count`` comes from the storage index.
+    A single value is one ``int.from_bytes``; a grouped blob is one
+    masked word load per value from a 3-byte-padded copy plus a prefix
+    sum.  The structure is checked as :func:`blob_count` checks it —
+    a payload whose implied size or stored count disagrees raises
+    ``ValueError``.
+    """
+    if layout == BLOB_SINGLE:
+        if count != 1 or not 1 <= len(payload) <= 4:
             raise ValueError(
-                f"multi-group blob is {size} bytes, layout implies {expected}"
-            )
-        return count
-    raise ValueError(f"unknown blob layout {layout}")
+                f"single-value blob of {len(payload)} bytes cannot hold "
+                f"{count} values")
+        return np.array([int.from_bytes(payload, "little")], dtype=np.uint32)
+    data_start, lengths, ends = _lane_lengths(layout, payload, count)
+    padded = np.frombuffer(bytes(payload) + b"\0\0\0", dtype=np.uint8)
+    ends -= lengths
+    ends += data_start
+    values = _words(padded)[ends]
+    _keep_low_bytes(values, lengths)
+    return np.add.accumulate(values, dtype=np.uint32, out=values)
 
 
 def decode_blob(layout: int, payload: bytes) -> np.ndarray:
-    """Decode one blob back to its uint32 values (via the bulk path)."""
-    src = np.frombuffer(payload, dtype=np.uint8)
-    count = blob_count(layout, payload)
-    return decode_blobs_packed(
-        src,
-        np.zeros(1, dtype=np.int64),
-        np.array([len(payload)], dtype=np.int64),
-        np.array([count], dtype=np.int64),
-        np.array([layout], dtype=np.int64),
-    )
+    """Decode one blob back to its uint32 values."""
+    return decode_blob_checked(layout, payload, blob_count(layout, payload))
 
 
 def decode_blobs_packed(src: np.ndarray, offsets: np.ndarray,
@@ -363,83 +426,86 @@ def decode_blobs_packed(src: np.ndarray, offsets: np.ndarray,
     ``src`` holds every payload; blob ``i`` occupies
     ``src[offsets[i]:offsets[i]+sizes[i]]`` with ``counts[i]`` values
     under ``layouts[i]``.  Returns all values concatenated in blob
-    order as one uint32 array — a single shuffle-LUT gather plus one
-    global cumsum, no per-blob Python loop.
+    order as one uint32 array, with no per-blob Python loop:
+
+    1. each value's byte length comes from its control byte (a single
+       value's from its payload size);
+    2. a prefix sum of the lengths, restarted at each blob's data
+       start, gives every value's data offset;
+    3. each value is **one** little-endian 32-bit load at that offset
+       through a stride-1 word view of ``src``, masked to its length —
+       words that would overhang the buffer end are loaded from the
+       last whole word and shifted down instead;
+    4. one global wrap-around ``uint32`` prefix sum undoes the delta
+       coding, with each blob's first delta pre-corrected so the sum
+       restarts from zero at every blob.
 
     Callers must pass counts from :func:`blob_count` (or the storage
     index); structure is *not* revalidated here.
     """
-    src = np.asarray(src, dtype=np.uint8)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    layouts = np.asarray(layouts, dtype=np.int64)
+    src = np.ascontiguousarray(src, dtype=np.uint8)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    counts = np.asarray(counts, dtype=np.intp)
+    layouts = np.asarray(layouts, dtype=np.intp)
+    n = counts.size
     total = int(counts.sum())
-    out = np.empty(total, dtype=np.uint32)
-    value_start = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=value_start[1:])
+    if total == 0:
+        return np.zeros(0, dtype=np.uint32)
+    if src.size < 4:
+        src = np.concatenate([src, np.zeros(4 - src.size, dtype=np.uint8)])
 
+    # Control bytes: a single value is treated as a one-lane group whose
+    # "control" (its first data byte) is read but overridden below.
     single = layouts == BLOB_SINGLE
-    if single.any():
-        s_off = offsets[single]
-        s_size = sizes[single]
-        vals = np.zeros(s_off.size, dtype=np.int64)
-        for shift in range(4):
-            m = s_size > shift
-            vals[m] |= src[s_off[m] + shift].astype(np.int64) << (8 * shift)
-        out[value_start[single]] = vals.astype(np.uint32)
+    groups = np.where(single, 1, (counts + 3) >> 2)
+    header = np.where(layouts == BLOB_MULTI, _leb128_lengths(counts), 0)
+    ctrl_start = offsets + header
+    data_start = np.where(single, offsets, ctrl_start + groups)
+    group_base = np.zeros(n, dtype=np.intp)
+    np.cumsum(groups[:-1], out=group_base[1:])
+    total_groups = int(group_base[-1] + groups[-1])
+    ctrl_pos = np.repeat(ctrl_start - group_base, groups)
+    ctrl_pos += np.arange(total_groups, dtype=np.intp)
+    lane_lens = (_LANE_LENGTH_WORDS.take(src.take(ctrl_pos))
+                 .view(np.uint8).reshape(total_groups, GROUP_SIZE))
+    # Drop the lanes past each blob's last value: only a blob's final
+    # group holds fewer than four.
+    active = np.full(total_groups, GROUP_SIZE)
+    active[group_base + groups - 1] = counts - GROUP_SIZE * (groups - 1)
+    lengths = lane_lens[np.arange(GROUP_SIZE) < active[:, None]]
+    value_start = np.zeros(n, dtype=np.intp)
+    np.cumsum(counts[:-1], out=value_start[1:])
+    lengths[value_start[single]] = sizes[single]
 
-    grouped = ~single
-    if grouped.any():
-        g_off = offsets[grouped]
-        g_count = counts[grouped]
-        g_layout = layouts[grouped]
-        groups = (g_count + 3) // 4
-        header = np.where(g_layout == BLOB_MULTI, _leb128_lengths(g_count), 0)
-        ctrl_start = g_off + header
-        data_start = ctrl_start + groups  # GROUP blobs have exactly 1 group
-        total_groups = int(groups.sum())
-        blob_of = np.repeat(np.arange(g_off.size, dtype=np.int64), groups)
-        group_base = np.zeros(g_off.size, dtype=np.int64)
-        np.cumsum(groups[:-1], out=group_base[1:])
-        within = np.arange(total_groups, dtype=np.int64) - np.repeat(
-            group_base, groups)
-        controls = src[ctrl_start[blob_of] + within]
-        lane_lens = _LANE_LENGTHS[controls]                   # (G, 4)
-        active = np.minimum(g_count[blob_of] - 4 * within, 4)
-        lane_mask = np.arange(GROUP_SIZE)[None, :] < active[:, None]
-        consumed = (lane_lens * lane_mask).sum(axis=1)
-        data_cum = np.cumsum(consumed) - consumed             # exclusive
-        data_off = data_cum - np.repeat(data_cum[group_base], groups)
-        group_data = data_start[blob_of] + data_off
+    # Data offsets: an inclusive prefix sum of the previous value's
+    # length, with each blob's first step jumping from the end of the
+    # previous blob's data (its payload end) to its own data start.
+    step = np.empty(total, dtype=np.intp)
+    step[0] = 0
+    step[1:] = lengths[:-1]
+    ends = offsets + sizes
+    step[value_start] += data_start
+    step[value_start[1:]] -= ends[:-1]
+    pos = np.cumsum(step, out=step)
 
-        # Narrow index math when the buffer allows it — the (G, 16)
-        # gather index is the decoder's largest intermediate.
-        idx_dtype = np.int32 if src.size < (1 << 31) else np.int64
-        gather_idx = (group_data.astype(idx_dtype, copy=False)[:, None]
-                      + _SHUFFLE_SAFE[controls])
-        # Only groups whose 16-byte shuffle window overhangs the buffer
-        # end need clamping (overhang lanes are masked below anyway) —
-        # clamp those rows instead of min-ing the whole index.
-        tail = np.flatnonzero(group_data > src.size - 16)
-        if tail.size:
-            gather_idx[tail] = np.minimum(gather_idx[tail], src.size - 1)
-        gathered = src[gather_idx]
-        gathered *= _SHUFFLE_KEEP[controls]  # zero the pshufb fill lanes
-        lanes32 = (
-            np.ascontiguousarray(gathered)
-            .view("<u4")
-            .reshape(total_groups, GROUP_SIZE)
-        )
-        deltas = lanes32[lane_mask]  # row-major: groups then lanes, in order
-        summed = np.cumsum(deltas, dtype=np.int64)
-        first = np.zeros(g_off.size, dtype=np.int64)
-        np.cumsum(g_count[:-1], out=first[1:])
-        blob_excl = summed[first] - deltas[first]
-        vals = summed - np.repeat(blob_excl, g_count)
-        targets = np.repeat(value_start[grouped], g_count) + (
-            np.arange(int(g_count.sum()), dtype=np.int64)
-            - np.repeat(first, g_count)
-        )
-        out[targets] = vals.astype(np.uint32)
-    return out
+    # A word loaded within 3 bytes of the buffer end would overhang it:
+    # load the last whole word instead and shift the value down.
+    limit = src.size - 4
+    tail = (np.flatnonzero(pos > limit) if int(ends.max()) > limit + 1
+            else None)
+    if tail is not None:
+        shift = ((pos[tail] - limit) << 3).astype(np.uint32)
+        pos[tail] = limit
+    deltas = _words(src).take(pos)
+    if tail is not None:
+        deltas[tail] >>= shift
+    _keep_low_bytes(deltas, lengths)
+
+    # Undo the deltas with one global prefix sum.  uint32 arithmetic
+    # wraps mod 2**32; every true value fits, so subtracting the
+    # previous blob's delta total from each blob's first delta restarts
+    # the running sum at zero there exactly.
+    blob_totals = np.add.reduceat(deltas, value_start, dtype=np.uint32)
+    deltas[value_start[1:]] -= blob_totals[:-1]
+    return np.cumsum(deltas, dtype=np.uint32, out=deltas)

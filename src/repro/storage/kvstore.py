@@ -69,7 +69,7 @@ from ..obs import ReadReceipt, StorageStats, default_tracer
 from ..simd.streamvbyte import (
     blob_count,
     blob_layout,
-    decode_blob,
+    decode_blob_checked,
     decode_blobs_packed,
     encode_blob,
 )
@@ -167,12 +167,15 @@ def assemble_packed(src: np.ndarray, offs: np.ndarray, szs: np.ndarray,
                     out: np.ndarray, slots: np.ndarray) -> None:
     """Scatter stored records — raw or compressed — into decoded form.
 
-    ``src`` is any uint8 buffer (a span gather or an mmap view) holding record ``i``'s stored payload at
-    ``offs[i]`` with stored size ``szs[i]``; its decoded bytes land at
+    ``src`` is any uint8 buffer (a span gather or an mmap view)
+    holding record ``i``'s stored payload at ``offs[i]`` with stored
+    size ``szs[i]``; its decoded bytes land at
     ``out[slots[i]:slots[i] + rawszs[i]]``.  Raw records are one
     whole-batch gather; compressed records are one
-    :func:`~repro.simd.streamvbyte.decode_blobs_packed` pass.  Shared
-    by the packed read tiers.
+    :func:`~repro.simd.streamvbyte.decode_blobs_packed` pass — one
+    masked 32-bit load per value, counts taken from ``rawszs // 4`` —
+    read in place, so ``src`` is never copied.  Shared by the packed
+    read tiers.
     """
     raw = rtypes == _REC_PUT
     if raw.any():
@@ -508,7 +511,8 @@ class DiskKVStore:
                 receipt.count_disk_read(len(value))
         self._validate_record(key, offset, size, crc, rtype, raw_size, value)
         if rtype != _REC_PUT:
-            return decode_blob(rtype - _BLOB_TYPE_BASE, value).tobytes()
+            return decode_blob_checked(rtype - _BLOB_TYPE_BASE, value,
+                                       raw_size // 4).tobytes()
         return value
 
     def get(self, key: int,

@@ -168,6 +168,35 @@ class TestEngineApi:
         with pytest.raises(ValueError):
             ParallelEdgeQueryEngine(store, workers=0)
 
+    def test_snapshot_warmup_runs_no_query(self, graph, workload,
+                                           monkeypatch):
+        """The columnar kernel runs once per shard slice: warming the
+        snapshot before the fan-out builds it without querying."""
+        from repro.core.batch import shard_slices
+        from repro.core.columnar import ColumnarIndex
+
+        calls = []
+        original = ColumnarIndex.query_batch
+
+        def counting(self, pairs_u, pairs_v):
+            calls.append(len(pairs_u))
+            return original(self, pairs_u, pairs_v)
+
+        monkeypatch.setattr(ColumnarIndex, "query_batch", counting)
+        solution = make_solution("hyb+", 4, graph)
+        store = ShardedGraphStore(num_shards=3)
+        store.bulk_load(graph)
+        us, vs = workload
+        slices = 0
+        with ParallelEdgeQueryEngine(store, nonedge_filter=solution,
+                                     workers=2) as engine:
+            for lo in range(0, len(us), 300):
+                su, sv = us[lo:lo + 300], vs[lo:lo + 300]
+                slices += len(list(shard_slices(store.router, su, sv)))
+                engine.has_edge_batch(su, sv)
+        assert len(calls) == slices
+        assert sum(calls) == len(us)
+
     def test_scalar_has_edge_matches_store(self, graph):
         solution = make_solution("hyb+", 4, graph)
         serial, parallel = _build_engines(graph, solution, 4, 4)

@@ -462,6 +462,17 @@ class TestDatabaseReshard:
             assert [db.has_edge(u, v) for u, v in pairs[::7]] == expected[::7]
         db.close()
 
+    def test_shard_ledgers_follow_reshard_before_any_query(self):
+        from repro.apps import VendGraphDB
+
+        g = powerlaw_graph(60, avg_degree=4, seed=5)
+        db = VendGraphDB(k=6)
+        db.load_graph(g)
+        assert len(db.shard_query_stats) == 1
+        db.reshard(2)
+        assert len(db.shard_query_stats) == 2
+        db.close()
+
     def test_db_reshard_with_replicas(self):
         from repro.apps import VendGraphDB
 
